@@ -6,7 +6,7 @@
 #include "core/rangeamp.h"
 #include "http/date.h"
 #include "http2/hpack.h"
-#include "sim/des.h"
+#include "sim/attack_load.h"
 
 using namespace rangeamp;
 
@@ -142,29 +142,21 @@ void BM_HttpDateParse(benchmark::State& state) {
 }
 BENCHMARK(BM_HttpDateParse);
 
-void BM_AttackLoadFluid(benchmark::State& state) {
+// The Fig 7 projection at campaign shapes: args are requests per second and
+// attack seconds.  4000 x 4 is the sbr-saturate benchmark workload (16 000
+// flows in flight at peak); 20 000 x 10 piles up ~200 000.
+void BM_AttackLoad(benchmark::State& state) {
   sim::AttackLoadConfig config;
-  config.requests_per_second = 12;
-  config.origin_response_bytes = 10'486'029;
-  config.client_response_bytes = 822;
+  config.requests_per_second = static_cast<int>(state.range(0));
+  config.duration_s = static_cast<double>(state.range(1));
+  config.origin_response_bytes = 65'800;
+  config.client_response_bytes = 817;
   for (auto _ : state) {
     auto series = sim::simulate_attack_load(config);
     benchmark::DoNotOptimize(series);
   }
 }
-BENCHMARK(BM_AttackLoadFluid);
-
-void BM_AttackLoadDes(benchmark::State& state) {
-  sim::AttackLoadConfig config;
-  config.requests_per_second = 12;
-  config.origin_response_bytes = 10'486'029;
-  config.client_response_bytes = 822;
-  for (auto _ : state) {
-    auto series = sim::simulate_attack_load_des(config);
-    benchmark::DoNotOptimize(series);
-  }
-}
-BENCHMARK(BM_AttackLoadDes);
+BENCHMARK(BM_AttackLoad)->Args({4000, 4})->Args({20'000, 10})->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -274,7 +274,7 @@ SbrCampaignResult run_sbr_campaign(const SbrCampaignConfig& config,
   result.detector_stats = detector.stats();
   result.shield_stats = merged.shield;
 
-  // Project onto the fluid link for the time series: per-request byte costs
+  // Project onto the uplink for the time series: per-request byte costs
   // are the campaign averages.
   sim::AttackLoadConfig load;
   load.origin_uplink_mbps = config.origin_uplink_mbps;

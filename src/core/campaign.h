@@ -4,7 +4,7 @@
 // requests per second, sustained, spread across ingress nodes.  This module
 // drives such campaigns end-to-end against an EdgeCluster -- rotating
 // cache-busting queries, feeding every exchange to the RangeAmpDetector,
-// and projecting the byte totals onto the fluid bandwidth simulator for the
+// and projecting the byte totals onto the processor-sharing uplink for the
 // Fig 7 time series.
 //
 // It also generates a realistic benign workload (cache-friendly page loads,

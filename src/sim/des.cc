@@ -1,9 +1,7 @@
 #include "sim/des.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
-#include <unordered_set>
+#include <stdexcept>
 
 namespace rangeamp::sim {
 
@@ -51,174 +49,55 @@ void EventQueue::run_until(double horizon) {
 }
 
 std::uint64_t PsLink::start_flow(std::uint64_t bytes) {
-  advance_to_now();
-  PsFlow flow;
-  flow.id = next_id_++;
-  flow.total = static_cast<double>(bytes);
-  flow.remaining = static_cast<double>(bytes);
-  flow.start_time = queue_->now();
-  flows_.push_back(flow);
-  if (bytes == 0) {
-    // Degenerate flow: completes immediately.
-    const std::uint64_t id = flow.id;
-    const double start = flow.start_time;
-    flows_.pop_back();
-    queue_->schedule(queue_->now(), [this, id, start] {
-      if (on_completion_) on_completion_(id, 0, start);
-    });
-    return flow.id;
-  }
+  engine_.advance_to(queue_->now());
+  const std::uint64_t id = engine_.start_flow(bytes);
+  in_flight_.emplace(id, InFlight{bytes, engine_.virtual_time()});
   arm_next_completion();
-  return flow.id;
+  return id;
 }
 
 bool PsLink::cancel_flow(std::uint64_t id) {
-  advance_to_now();
-  const auto it = std::find_if(flows_.begin(), flows_.end(),
-                               [&](const PsFlow& f) { return f.id == id; });
-  if (it == flows_.end()) return false;
-  cancelled_bytes_ += it->total - it->remaining;
-  flows_.erase(it);
+  const auto it = in_flight_.find(id);
+  if (it == in_flight_.end()) return false;
+  engine_.advance_to(queue_->now());
+  cancelled_bytes_ += std::clamp(engine_.virtual_time() - it->second.start_virtual,
+                                 0.0, static_cast<double>(it->second.bytes));
+  in_flight_.erase(it);
+  engine_.cancel_flow(id);
   // The survivors' shares just grew; their next completion moves earlier.
   arm_next_completion();
   return true;
 }
 
-void PsLink::advance_to_now() {
-  const double now = queue_->now();
-  const double dt = now - last_update_;
-  if (dt > 0 && !flows_.empty()) {
-    const double share = capacity_ / static_cast<double>(flows_.size());
-    for (PsFlow& f : flows_) {
-      f.remaining = std::max(0.0, f.remaining - share * dt);
-    }
-  }
-  last_update_ = now;
-}
-
 void PsLink::arm_next_completion() {
-  if (flows_.empty()) return;
-  const double share = capacity_ / static_cast<double>(flows_.size());
-  double min_remaining = flows_.front().remaining;
-  for (const PsFlow& f : flows_) min_remaining = std::min(min_remaining, f.remaining);
-  const double eta = queue_->now() + min_remaining / share;
-
+  if (engine_.active_flows() == 0) return;
   const std::uint64_t generation = ++arm_generation_;
-  queue_->schedule(eta, [this, generation] {
+  queue_->schedule(engine_.next_completion(), [this, generation] {
     if (generation != arm_generation_) return;  // superseded by a newer arm
-    advance_to_now();
-    // Retire every flow that is (numerically) done.
+    engine_.advance_to(queue_->now());
+    // Retire every flow that is done before any handler runs: a handler may
+    // start or cancel flows.
     std::vector<PsFlow> done;
-    for (auto it = flows_.begin(); it != flows_.end();) {
-      if (it->remaining <= 1e-6) {
-        done.push_back(*it);
-        it = flows_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (const PsFlow& f : done) {
-      completed_bytes_ += f.total;
-      if (on_completion_) {
-        on_completion_(f.id, static_cast<std::uint64_t>(f.total), f.start_time);
-      }
+    for (PsFlow flow; engine_.pop_completed(flow);) done.push_back(flow);
+    for (const PsFlow& flow : done) {
+      const auto it = in_flight_.find(flow.id);
+      const std::uint64_t bytes = it->second.bytes;
+      in_flight_.erase(it);
+      completed_bytes_ += static_cast<double>(bytes);
+      if (on_completion_) on_completion_(flow.id, bytes, flow.start_time);
     }
     arm_next_completion();
   });
 }
 
-std::vector<BandwidthSample> simulate_attack_load_des(
-    const AttackLoadConfig& config) {
-  const double capacity = config.origin_uplink_mbps * 1e6 / 8.0;
-  const double horizon = config.duration_s + config.drain_s;
-  const std::size_t seconds = static_cast<std::size_t>(std::ceil(horizon));
-  std::vector<BandwidthSample> series(seconds);
-  for (std::size_t s = 0; s < seconds; ++s) series[s].second = static_cast<double>(s);
-
-  EventQueue queue;
-  // Per-flow byte sizes, and classification of benign flows.
-  std::unordered_set<std::uint64_t> benign_ids;
-  struct Tally {
-    double client_bytes = 0;
-    double benign_bytes = 0;
-    double benign_latency = 0;
-    std::size_t benign_completions = 0;
-  };
-  std::vector<Tally> tallies(seconds);
-  const auto bucket_of = [&](double t) {
-    return std::min(seconds - 1, static_cast<std::size_t>(t));
-  };
-
-  PsLink* link_ptr = nullptr;
-  PsLink link(queue, capacity, [&](std::uint64_t id, std::uint64_t, double start) {
-    Tally& tally = tallies[bucket_of(queue.now())];
-    if (benign_ids.erase(id)) {
-      tally.benign_bytes += static_cast<double>(config.benign_response_bytes);
-      tally.benign_latency += queue.now() - start + config.network_rtt_s;
-      ++tally.benign_completions;
-    } else {
-      tally.client_bytes += static_cast<double>(config.client_response_bytes);
-    }
-  });
-  link_ptr = &link;
-
-  // Arrival events at whole seconds.
-  for (int burst = 0; burst < static_cast<int>(config.duration_s); ++burst) {
-    queue.schedule(static_cast<double>(burst), [&, burst] {
-      (void)burst;
-      for (int i = 0; i < config.requests_per_second; ++i) {
-        link_ptr->start_flow(config.origin_response_bytes);
-      }
-      for (int i = 0; i < config.benign_requests_per_second; ++i) {
-        benign_ids.insert(link_ptr->start_flow(config.benign_response_bytes));
-      }
-    });
-  }
-  // Per-second sampling of link utilization via completed-byte deltas is not
-  // available from PsLink directly (it tracks remaining); instead sample the
-  // active-flow count at second boundaries and derive utilization: a PS link
-  // moves capacity bytes/second whenever any flow is active.
-  std::vector<std::size_t> active_at_end(seconds, 0);
-  std::vector<double> busy_fraction(seconds, 0);
-  for (std::size_t s = 0; s < seconds; ++s) {
-    queue.schedule(static_cast<double>(s) + 0.999999, [&, s] {
-      active_at_end[s] = link_ptr->active_flows();
-    });
-  }
-  // Busy time needs finer sampling: probe activity on a small grid.
-  constexpr int kProbes = 100;
-  for (std::size_t s = 0; s < seconds; ++s) {
-    for (int p = 0; p < kProbes; ++p) {
-      const double t = static_cast<double>(s) + (p + 0.5) / kProbes;
-      queue.schedule(t, [&, s] {
-        if (link_ptr->active_flows() > 0) {
-          busy_fraction[s] += 1.0 / kProbes;
-        }
-      });
-    }
-  }
-
-  queue.run_until(horizon + 1.0);
-
-  for (std::size_t s = 0; s < seconds; ++s) {
-    series[s].origin_out_mbps = busy_fraction[s] * config.origin_uplink_mbps;
-    series[s].client_in_kbps = tallies[s].client_bytes * 8.0 / 1e3;
-    series[s].in_flight = active_at_end[s];
-    series[s].benign_goodput_mbps = tallies[s].benign_bytes * 8.0 / 1e6;
-    series[s].benign_latency_s =
-        tallies[s].benign_completions
-            ? tallies[s].benign_latency /
-                  static_cast<double>(tallies[s].benign_completions)
-            : -1;
-  }
-  return series;
-}
-
 ShieldedLoadResult simulate_attack_load_shielded(const ShieldedLoadConfig& config) {
   const AttackLoadConfig& base = config.base;
+  const std::size_t seconds = series_length(base);
+  if (!(config.deadline_seconds >= 0)) {
+    throw std::invalid_argument("shielded load: deadline_seconds must be >= 0");
+  }
   const double capacity = base.origin_uplink_mbps * 1e6 / 8.0;
   const double horizon = base.duration_s + base.drain_s;
-  const std::size_t seconds = static_cast<std::size_t>(std::ceil(horizon));
 
   ShieldedLoadResult result;
   result.series.resize(seconds);

@@ -1,21 +1,22 @@
-// Discrete-event simulation engine and an exact processor-sharing link.
+// Discrete-event simulation engine, and the processor-sharing link driven
+// by it.
 //
-// The fluid model in fluid.h integrates with a fixed step; this module
-// computes the same dynamics *exactly*: a processor-sharing (PS) queue's
-// next completion time is analytic (min remaining / fair share), so the
-// simulation can jump from event to event with no integration error.  The
-// attack-load experiment exists in both engines, and
-// `tests/sim/des_test.cc` pins them against each other -- the kind of
-// cross-validation a simulation result needs before it is trusted.
+// EventQueue runs timestamped events in time order.  PsLink puts one
+// PsEngine (sim/ps.h) on that queue: it always keeps the engine's next
+// completion armed as an event, so a caller can mix link completions with
+// its own arrivals, deadlines and observation probes.  The shielded Fig 7
+// projection below runs on it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "sim/attack_load.h"
+#include "sim/ps.h"
 
 namespace rangeamp::sim {
 
@@ -78,18 +79,19 @@ class EventQueue {
   std::unordered_set<EventId> cancelled_;
 };
 
-/// An exact processor-sharing link driven by an EventQueue: flows share the
-/// capacity equally, and completions fire as events at their analytic times.
+/// A processor-sharing link driven by an EventQueue: flows share the
+/// capacity equally, and completions fire as events at their exact times.
 class PsLink {
  public:
   using CompletionHandler = std::function<void(std::uint64_t flow_id,
                                                std::uint64_t bytes,
                                                double start_time)>;
 
+  /// Throws std::invalid_argument unless the capacity is finite and > 0.
   PsLink(EventQueue& queue, double capacity_bytes_per_sec,
          CompletionHandler on_completion)
       : queue_(&queue),
-        capacity_(capacity_bytes_per_sec),
+        engine_(capacity_bytes_per_sec),
         on_completion_(std::move(on_completion)) {}
 
   /// Starts a flow now; returns its id.
@@ -102,7 +104,7 @@ class PsLink {
   /// Returns false when the flow already completed (or never existed).
   bool cancel_flow(std::uint64_t id);
 
-  std::size_t active_flows() const noexcept { return flows_.size(); }
+  std::size_t active_flows() const noexcept { return engine_.active_flows(); }
 
   /// Total bytes that have fully crossed the link (completed flows).
   double completed_bytes() const noexcept { return completed_bytes_; }
@@ -111,31 +113,29 @@ class PsLink {
   /// deadline could not claw back).
   double cancelled_bytes() const noexcept { return cancelled_bytes_; }
 
+  /// Seconds the link has been busy up to the queue's now(); it has moved
+  /// capacity x busy time bytes, completed and cancelled flows together.
+  double busy_time() const noexcept {
+    return engine_.busy_time() +
+           (engine_.active_flows() > 0 ? queue_->now() - engine_.now() : 0.0);
+  }
+
  private:
-  struct PsFlow {
-    std::uint64_t id;
-    double total;
-    double remaining;
-    double start_time;
+  struct InFlight {
+    std::uint64_t bytes;
+    double start_virtual;  ///< engine virtual time at arrival
   };
 
-  void advance_to_now();
   void arm_next_completion();
 
   EventQueue* queue_;
-  double capacity_;
+  PsEngine engine_;
   CompletionHandler on_completion_;
-  std::vector<PsFlow> flows_;
-  double last_update_ = 0;
+  std::unordered_map<std::uint64_t, InFlight> in_flight_;
   double completed_bytes_ = 0;
   double cancelled_bytes_ = 0;
-  std::uint64_t next_id_ = 1;
   std::uint64_t arm_generation_ = 0;  ///< invalidates stale completion events
 };
-
-/// The Fig 7 attack-load experiment on the event-driven engine.  Semantics
-/// match simulate_attack_load() exactly; outputs are directly comparable.
-std::vector<BandwidthSample> simulate_attack_load_des(const AttackLoadConfig& config);
 
 /// The Fig 7 experiment with an origin shield in front of the uplink:
 /// request coalescing collapses same-key bursts into one back-to-origin
@@ -166,7 +166,7 @@ struct ShieldedLoadConfig {
   /// long after it started is cancelled -- the projection of
   /// cdn::DeadlinePolicy onto the PS model (0 = off).  Cancellation frees
   /// the remaining demand; the bytes already moved stay as wasted work in
-  /// cancelled_origin_bytes.
+  /// cancelled_origin_bytes.  Must be >= 0.
   double deadline_seconds = 0;
 };
 
@@ -191,6 +191,8 @@ struct ShieldedLoadResult {
   }
 };
 
+/// Throws std::invalid_argument on a base config series_length() rejects
+/// or a negative deadline.
 ShieldedLoadResult simulate_attack_load_shielded(const ShieldedLoadConfig& config);
 
 }  // namespace rangeamp::sim

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 namespace rangeamp::sim {
 namespace {
 
@@ -240,70 +243,19 @@ TEST(ShieldedLoad, DeadlineCancellationCutsPinnedResourceTime) {
             baseline.busy_seconds(8.0) * 0.5);
 }
 
-// ---------------------------------------------------------------------------
-// Cross-validation: DES vs fluid engine on the Fig 7 experiment
-// ---------------------------------------------------------------------------
-
-AttackLoadConfig fig7_config(int m) {
-  AttackLoadConfig config;
-  config.requests_per_second = m;
-  config.origin_response_bytes = 10'486'029;
-  config.client_response_bytes = 822;
-  config.duration_s = 20.0;
-  config.drain_s = 20.0;
-  return config;
-}
-
-TEST(DesVsFluid, SteadyStateUtilizationAgrees) {
-  for (const int m : {2, 8, 12, 15}) {
-    const auto config = fig7_config(m);
-    const auto fluid = simulate_attack_load(config);
-    const auto des = simulate_attack_load_des(config);
-    ASSERT_EQ(fluid.size(), des.size());
-    double fluid_sum = 0, des_sum = 0;
-    for (std::size_t s = 5; s < 20; ++s) {
-      fluid_sum += fluid[s].origin_out_mbps;
-      des_sum += des[s].origin_out_mbps;
-    }
-    EXPECT_NEAR(des_sum, fluid_sum, fluid_sum * 0.02 + 1.0) << "m=" << m;
-  }
-}
-
-TEST(DesVsFluid, CompletionDrivenClientTrafficAgrees) {
-  const auto config = fig7_config(8);
-  const auto fluid = simulate_attack_load(config);
-  const auto des = simulate_attack_load_des(config);
-  double fluid_total = 0, des_total = 0;
-  for (std::size_t s = 0; s < fluid.size(); ++s) {
-    fluid_total += fluid[s].client_in_kbps;
-    des_total += des[s].client_in_kbps;
-  }
-  // All 160 requests complete in both engines.
-  EXPECT_NEAR(des_total, fluid_total, fluid_total * 0.01 + 0.1);
-}
-
-TEST(DesVsFluid, BenignLatencyAgreesBelowSaturation) {
-  auto config = fig7_config(5);
-  config.benign_requests_per_second = 2;
-  config.benign_response_bytes = 5u << 20;
-  const auto fluid = simulate_attack_load(config);
-  const auto des = simulate_attack_load_des(config);
-  double fluid_latency = 0, des_latency = 0;
-  std::size_t fn = 0, dn = 0;
-  for (std::size_t s = 5; s < 20; ++s) {
-    if (fluid[s].benign_latency_s >= 0) {
-      fluid_latency += fluid[s].benign_latency_s;
-      ++fn;
-    }
-    if (des[s].benign_latency_s >= 0) {
-      des_latency += des[s].benign_latency_s;
-      ++dn;
-    }
-  }
-  ASSERT_GT(fn, 0u);
-  ASSERT_GT(dn, 0u);
-  EXPECT_NEAR(des_latency / dn, fluid_latency / fn,
-              0.05 * fluid_latency / fn + 0.002);
+TEST(ShieldedLoad, RejectsInputsNoProjectionCanRun) {
+  ShieldedLoadConfig config;
+  config.base.origin_response_bytes = 1000;
+  config.deadline_seconds = -1.0;
+  EXPECT_THROW(simulate_attack_load_shielded(config), std::invalid_argument);
+  config.deadline_seconds = std::nan("");
+  EXPECT_THROW(simulate_attack_load_shielded(config), std::invalid_argument);
+  config.deadline_seconds = 0;
+  config.base.drain_s = -1.0;
+  EXPECT_THROW(simulate_attack_load_shielded(config), std::invalid_argument);
+  config.base.drain_s = 10.0;
+  config.base.origin_uplink_mbps = 0;
+  EXPECT_THROW(simulate_attack_load_shielded(config), std::invalid_argument);
 }
 
 }  // namespace
