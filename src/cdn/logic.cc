@@ -13,7 +13,7 @@ using http::Response;
 
 Response deletion_miss(CdnNode& node, const Request& request,
                        const std::optional<RangeSet>& range) {
-  const FetchResult result = node.fetch_result(request, std::nullopt);
+  FetchResult result = node.fetch_result(request, std::nullopt);
   if (!result.ok()) return node.degrade(request, range, result);
   // Partial fills (truncated entities) never reach the cache:
   // entity_from_response refuses bodies shorter than their Content-Length.
@@ -21,23 +21,23 @@ Response deletion_miss(CdnNode& node, const Request& request,
     node.store(request, *entity);
     return node.respond_entity(*entity, range);
   }
-  return node.relay(result.response);
+  return node.relay(std::move(result.response));
 }
 
 Response laziness_miss(CdnNode& node, const Request& request,
                        const std::optional<RangeSet>& range,
                        bool serve_range_on_200) {
-  const FetchResult result = node.fetch_result(request, range);
+  FetchResult result = node.fetch_result(request, range);
   if (!result.ok()) return node.degrade(request, range, result);
-  const Response& upstream = result.response;
-  if (upstream.status == http::kOk) {
-    if (auto entity = CdnNode::entity_from_response(upstream)) {
+  if (result.response.status == http::kOk) {
+    if (auto entity = CdnNode::entity_from_response(result.response)) {
       node.store(request, *entity);
       if (range && serve_range_on_200) return node.respond_entity(*entity, range);
       return node.respond_entity(*entity, std::nullopt);
     }
   }
-  return node.relay(upstream);
+  // The OBR passthrough: the BCDN's n-part body moves through this hop.
+  return node.relay(std::move(result.response));
 }
 
 std::optional<EntityWindow> window_from_206(const Response& upstream) {

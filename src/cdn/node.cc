@@ -1155,36 +1155,29 @@ Response CdnNode::respond_window(const EntityWindow& window, const RangeSet& ran
   meta.etag = window.etag;
   meta.last_modified = window.last_modified;
 
-  const auto slice = [&](const ResolvedRange& r) {
-    return window.body.slice(r.first - win_first, r.length());
-  };
   const auto single = [&](const ResolvedRange& r) {
     Headers content = entity_content_headers(meta);
     content.add("Content-Length", std::to_string(r.length()));
     content.add("Content-Range", http::content_range(r, total));
     content.add("Content-Type", window.content_type);
-    return style(http::kPartialContent, content, slice(r));
+    return style(http::kPartialContent, content,
+                 window.body.slice(r.first - win_first, r.length()));
   };
   const auto multipart = [&](const std::vector<ResolvedRange>& ranges) {
-    Body body;
+    http::MultipartWriter writer(traits_.multipart_boundary,
+                                 window.content_type, total,
+                                 traits_.multipart_part_extra_headers);
+    const std::uint64_t size = writer.size(ranges);
+    if (auto over = check_assembly_budget(size)) return std::move(*over);
+    writer.reserve(ranges.size());
     for (const auto& r : ranges) {
-      std::string part_head = "--" + traits_.multipart_boundary + "\r\n";
-      for (const auto& f : traits_.multipart_part_extra_headers) {
-        part_head += f.name + ": " + f.value + "\r\n";
-      }
-      part_head += "Content-Type: " + window.content_type + "\r\n" +
-                   "Content-Range: " + http::content_range(r, total) + "\r\n\r\n";
-      body.append_literal(part_head);
-      body.append_body(slice(r));
-      body.append_literal("\r\n");
+      writer.add_part(r, window.body, r.first - win_first, r.length());
     }
-    body.append_literal("--" + traits_.multipart_boundary + "--\r\n");
-    if (auto over = check_assembly_budget(body.size())) return std::move(*over);
     Headers content = entity_content_headers(meta);
-    content.add("Content-Length", std::to_string(body.size()));
+    content.add("Content-Length", std::to_string(size));
     content.add("Content-Type",
                 http::multipart_content_type(traits_.multipart_boundary));
-    return style(http::kPartialContent, content, std::move(body));
+    return style(http::kPartialContent, content, writer.finish());
   };
   const auto full_200 = [&]() -> Response {
     if (!full_cover) {
@@ -1241,29 +1234,24 @@ Response CdnNode::respond_assembled(
     content.add("Content-Type", content_type);
     return style(http::kPartialContent, content, std::move(payload));
   }
-  Body body;
-  for (auto& [r, payload] : parts) {
-    std::string part_head = "--" + traits_.multipart_boundary + "\r\n";
-    for (const auto& f : traits_.multipart_part_extra_headers) {
-      part_head += f.name + ": " + f.value + "\r\n";
-    }
-    part_head += "Content-Type: " + content_type + "\r\n" +
-                 "Content-Range: " + http::content_range(r, total_size) +
-                 "\r\n\r\n";
-    body.append_literal(part_head);
-    body.append_body(payload);
-    body.append_literal("\r\n");
+  http::MultipartWriter writer(traits_.multipart_boundary, content_type,
+                               total_size, traits_.multipart_part_extra_headers);
+  std::uint64_t size = writer.closing_size();
+  for (const auto& [r, payload] : parts) {
+    size += writer.part_framing_size(r) + payload.size();
   }
-  body.append_literal("--" + traits_.multipart_boundary + "--\r\n");
-  if (auto over = check_assembly_budget(body.size())) return std::move(*over);
+  if (auto over = check_assembly_budget(size)) return std::move(*over);
+  for (const auto& [r, payload] : parts) {
+    writer.add_part(r, payload, 0, payload.size());
+  }
   Headers content = validators;
-  content.add("Content-Length", std::to_string(body.size()));
+  content.add("Content-Length", std::to_string(size));
   content.add("Content-Type",
               http::multipart_content_type(traits_.multipart_boundary));
-  return style(http::kPartialContent, content, std::move(body));
+  return style(http::kPartialContent, content, writer.finish());
 }
 
-Response CdnNode::relay(const Response& upstream) {
+Response CdnNode::relay(Response upstream) {
   Headers content;
   for (const std::string_view name :
        {"Last-Modified", "ETag", "Content-Length", "Content-Range",
@@ -1272,7 +1260,7 @@ Response CdnNode::relay(const Response& upstream) {
       content.add(std::string{name}, std::string{*v});
     }
   }
-  return style(upstream.status, content, upstream.body);
+  return style(upstream.status, content, std::move(upstream.body));
 }
 
 Response CdnNode::error(int status, std::string_view note) {

@@ -251,8 +251,9 @@ class CdnNode final : public net::HttpHandler {
       std::vector<std::pair<http::ResolvedRange, http::Body>> parts);
 
   /// Relays an upstream response (Laziness passthrough), restyled with this
-  /// vendor's identity headers.
-  http::Response relay(const http::Response& upstream);
+  /// vendor's identity headers.  Callers done with `upstream` move it in, so
+  /// an n-part OBR body crosses the hop without a copy.
+  http::Response relay(http::Response upstream);
 
   /// A vendor-styled error response.
   http::Response error(int status, std::string_view note);
@@ -321,7 +322,8 @@ class CdnNode final : public net::HttpHandler {
                          const std::optional<http::RangeSet>& range,
                          obs::SpanScope& span);
   /// Client-facing multipart assembly budget (respond_window /
-  /// respond_assembled): nullopt admits the body, otherwise the 502 to serve.
+  /// respond_assembled), checked against the exact body size before any
+  /// part is assembled: nullopt admits the body, otherwise the 502 to serve.
   std::optional<http::Response> check_assembly_budget(std::uint64_t body_bytes);
   void count_violation(http::ValidationCheck check, std::string_view action);
 

@@ -111,8 +111,8 @@ class AzureLogic final : public VendorLogic {
                    const std::optional<RangeSet>& range) override {
     net::TransferOptions abort_options;
     abort_options.abort_after_body_bytes = kAzureWindowStart + kAzureAbortOvershoot;
-    const Response first = node.fetch(request, std::nullopt, abort_options);
-    if (first.status != http::kOk) return node.relay(first);
+    Response first = node.fetch(request, std::nullopt, abort_options);
+    if (first.status != http::kOk) return node.relay(std::move(first));
 
     const std::uint64_t total =
         parse_u64(first.headers.get_or("Content-Length", "")).value_or(0);
@@ -362,14 +362,14 @@ class KeyCdnLogic final : public VendorLogic {
       const auto key =
           Cache::key(request.headers.get_or("Host", ""), request.target);
       if (++seen_[key] == 1) {
-        const Response upstream = node.fetch(request, range);
+        Response upstream = node.fetch(request, range);
         if (upstream.status == http::kOk) {
           // Range-serve a 200 but do not cache on first sight.
           if (auto entity = CdnNode::entity_from_response(upstream)) {
             return node.respond_entity(*entity, range);
           }
         }
-        return node.relay(upstream);
+        return node.relay(std::move(upstream));
       }
       return deletion_miss(node, request, range);
     }
@@ -394,20 +394,20 @@ class StackPathLogic final : public VendorLogic {
   Response on_miss(CdnNode& node, const Request& request,
                    const std::optional<RangeSet>& range) override {
     if (!range) return deletion_miss(node, request, range);
-    const Response first = node.fetch(request, range);
+    Response first = node.fetch(request, range);
     if (first.status == http::kPartialContent) {
       const Response second = node.fetch(request, std::nullopt);
       if (auto entity = CdnNode::entity_from_response(second)) {
         node.store(request, *entity);
         return node.respond_entity(*entity, range);
       }
-      return node.relay(first);
+      return node.relay(std::move(first));
     }
     if (auto entity = CdnNode::entity_from_response(first)) {
       node.store(request, *entity);
       return node.respond_entity(*entity, range);
     }
-    return node.relay(first);
+    return node.relay(std::move(first));
   }
 };
 

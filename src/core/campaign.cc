@@ -339,6 +339,11 @@ ObrBlockResult run_obr_block(const ObrCampaignConfig& config,
                      config.transport);
   bed.origin().resources().add_synthetic(std::string{kObrPath},
                                          config.resource_size);
+  // The block reads only totals; per-exchange logs would keep two copies of
+  // the ~32 KiB Range value per request.
+  bed.client_traffic().set_keep_log(false);
+  bed.fcdn_bcdn_traffic().set_keep_log(false);
+  bed.bcdn_origin_traffic().set_keep_log(false);
 
   net::TransferOptions abort_early;
   abort_early.abort_after_body_bytes = 4096;

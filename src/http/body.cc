@@ -1,8 +1,17 @@
 #include "http/body.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace rangeamp::http {
+namespace {
+
+std::uint64_t chunk_size(const BodyChunk& c) noexcept {
+  if (const auto* s = std::get_if<std::string>(&c)) return s->size();
+  return std::get<SyntheticSpan>(c).length;
+}
+
+}  // namespace
 
 std::uint8_t synthetic_byte(std::uint64_t seed, std::uint64_t offset) noexcept {
   // splitmix64-style mix of (seed, offset): cheap, well distributed, and
@@ -61,45 +70,37 @@ void Body::append_body(const Body& other) {
   for (const auto& c : other.chunks_) append(c);
 }
 
+void Body::append_slice(const Body& src, std::uint64_t first,
+                        std::uint64_t length) {
+  assert(&src != this && first + length <= src.size());
+  for (const auto& c : src.chunks_) {
+    if (length == 0) break;
+    const std::uint64_t chunk_len = chunk_size(c);
+    if (first >= chunk_len) {  // the slice starts past this chunk
+      first -= chunk_len;
+      continue;
+    }
+    const std::uint64_t take = std::min(chunk_len - first, length);
+    if (const auto* s = std::get_if<std::string>(&c)) {
+      append_literal(std::string_view{*s}.substr(first, take));
+    } else {
+      const auto& span = std::get<SyntheticSpan>(c);
+      append_synthetic(span.seed, span.offset + first, take);
+    }
+    first = 0;
+    length -= take;
+  }
+}
+
 std::uint64_t Body::size() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& c : chunks_) {
-    if (const auto* s = std::get_if<std::string>(&c)) {
-      total += s->size();
-    } else {
-      total += std::get<SyntheticSpan>(c).length;
-    }
-  }
+  for (const auto& c : chunks_) total += chunk_size(c);
   return total;
 }
 
 Body Body::slice(std::uint64_t first, std::uint64_t length) const {
-  assert(first + length <= size());
   Body out;
-  std::uint64_t pos = 0;  // absolute position of current chunk start
-  std::uint64_t remaining = length;
-  for (const auto& c : chunks_) {
-    if (remaining == 0) break;
-    const std::uint64_t chunk_len =
-        std::holds_alternative<std::string>(c)
-            ? std::get<std::string>(c).size()
-            : std::get<SyntheticSpan>(c).length;
-    const std::uint64_t chunk_end = pos + chunk_len;
-    if (chunk_end > first) {
-      const std::uint64_t begin_in_chunk = first > pos ? first - pos : 0;
-      const std::uint64_t take =
-          std::min<std::uint64_t>(chunk_len - begin_in_chunk, remaining);
-      if (const auto* s = std::get_if<std::string>(&c)) {
-        out.append_literal(std::string_view{*s}.substr(begin_in_chunk, take));
-      } else {
-        const auto& span = std::get<SyntheticSpan>(c);
-        out.append_synthetic(span.seed, span.offset + begin_in_chunk, take);
-      }
-      first += take;
-      remaining -= take;
-    }
-    pos = chunk_end;
-  }
+  out.append_slice(*this, first, length);
   return out;
 }
 
@@ -128,10 +129,7 @@ std::uint8_t Body::at(std::uint64_t pos) const {
   assert(pos < size());
   std::uint64_t chunk_start = 0;
   for (const auto& c : chunks_) {
-    const std::uint64_t chunk_len =
-        std::holds_alternative<std::string>(c)
-            ? std::get<std::string>(c).size()
-            : std::get<SyntheticSpan>(c).length;
+    const std::uint64_t chunk_len = chunk_size(c);
     if (pos < chunk_start + chunk_len) {
       const std::uint64_t off = pos - chunk_start;
       if (const auto* s = std::get_if<std::string>(&c)) {

@@ -6,7 +6,8 @@
 // sequence of chunks; a chunk is either a literal string (multipart framing,
 // small test payloads) or a *synthetic span*: a (resource seed, offset,
 // length) triple whose bytes are produced by a deterministic function on
-// demand.  Sizes -- the quantity every experiment measures -- are always O(1).
+// demand.  Sizes -- the quantity every experiment measures -- never touch a
+// payload byte: size() sums chunk lengths, O(number of chunks).
 //
 // Synthetic bytes are deterministic in (seed, absolute offset), so a slice of
 // a synthetic body equals the corresponding substring of the materialized
@@ -53,6 +54,15 @@ class Body {
   void append_literal(std::string_view bytes);
   void append_synthetic(std::uint64_t seed, std::uint64_t offset, std::uint64_t length);
   void append_body(const Body& other);
+
+  /// Appends the bytes of `src` at positions [first, first+length) -- what
+  /// append_body(src.slice(first, length)) appends, without the temporary.
+  /// Requires first + length <= src.size() and &src != this.
+  void append_slice(const Body& src, std::uint64_t first, std::uint64_t length);
+
+  /// Reserves room for `chunks` chunks, so a body assembled part by part
+  /// does not regrow (and recopy) its chunk list.
+  void reserve(std::size_t chunks) { chunks_.reserve(chunks); }
 
   /// Total size in bytes. O(number of chunks).
   std::uint64_t size() const noexcept;

@@ -1,26 +1,18 @@
 #include "http/multipart.h"
 
+#include <algorithm>
 #include <cassert>
+#include <charconv>
 
 #include "http/headers.h"
 
 namespace rangeamp::http {
 namespace {
 
-std::string part_header(const ResolvedRange& r, std::uint64_t resource_size,
-                        std::string_view content_type, std::string_view boundary) {
-  std::string out;
-  out.append("--").append(boundary).append("\r\n");
-  out.append("Content-Type: ").append(content_type).append("\r\n");
-  out.append("Content-Range: ").append(content_range(r, resource_size)).append("\r\n");
-  out.append("\r\n");
-  return out;
-}
-
-std::string closing_delimiter(std::string_view boundary) {
-  std::string out;
-  out.append("--").append(boundary).append("--\r\n");
-  return out;
+std::size_t decimal_digits(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  for (; v >= 10; v /= 10) ++n;
+  return n;
 }
 
 // RFC 2046 section 5.1.1: boundary := 0*69<bchars> bcharsnospace, i.e. at
@@ -46,34 +38,75 @@ bool valid_boundary(std::string_view b) noexcept {
 
 }  // namespace
 
+MultipartWriter::MultipartWriter(std::string_view boundary,
+                                 std::string_view content_type,
+                                 std::uint64_t resource_size,
+                                 std::span<const HeaderField> extra_headers) {
+  head_prefix_.append("\r\n--").append(boundary).append("\r\n");
+  for (const auto& f : extra_headers) {
+    head_prefix_.append(f.name).append(": ").append(f.value).append("\r\n");
+  }
+  head_prefix_.append("Content-Type: ").append(content_type).append("\r\n");
+  head_prefix_.append("Content-Range: bytes ");
+  head_suffix_.append("/").append(std::to_string(resource_size)).append("\r\n\r\n");
+  closing_.append("\r\n--").append(boundary).append("--\r\n");
+}
+
+std::uint64_t MultipartWriter::part_framing_size(
+    const ResolvedRange& r) const noexcept {
+  // The leading CRLF of head_prefix_ belongs to the previous payload; this
+  // part's own CRLF is counted instead, so the two cancel.
+  return head_prefix_.size() + decimal_digits(r.first) + 1 +
+         decimal_digits(r.last) + head_suffix_.size();
+}
+
+std::uint64_t MultipartWriter::size(
+    const std::vector<ResolvedRange>& ranges) const noexcept {
+  std::uint64_t total = closing_size();
+  for (const auto& r : ranges) total += part_framing_size(r) + r.length();
+  return total;
+}
+
+void MultipartWriter::add_part(const ResolvedRange& r, const Body& src,
+                               std::uint64_t first, std::uint64_t length) {
+  const std::string_view prefix =
+      std::string_view{head_prefix_}.substr(parts_ == 0 ? 2 : 0);
+  std::string head(prefix.size() + decimal_digits(r.first) + 1 +
+                       decimal_digits(r.last) + head_suffix_.size(),
+                   '\0');
+  char* out = std::copy(prefix.begin(), prefix.end(), head.data());
+  char* const end = head.data() + head.size();
+  out = std::to_chars(out, end, r.first).ptr;
+  *out++ = '-';
+  out = std::to_chars(out, end, r.last).ptr;
+  std::copy(head_suffix_.begin(), head_suffix_.end(), out);
+  body_.append(std::move(head));
+  body_.append_slice(src, first, length);
+  ++parts_;
+}
+
+Body MultipartWriter::finish() {
+  body_.append_literal(std::string_view{closing_}.substr(parts_ == 0 ? 2 : 0));
+  return std::move(body_);
+}
+
 Body build_multipart_byteranges(const Body& entity,
                                 const std::vector<ResolvedRange>& ranges,
                                 std::uint64_t resource_size,
                                 std::string_view content_type,
                                 std::string_view boundary) {
   assert(entity.size() == resource_size);
-  Body body;
-  for (const auto& r : ranges) {
-    body.append_literal(part_header(r, resource_size, content_type, boundary));
-    body.append_body(entity.slice(r.first, r.length()));
-    body.append_literal("\r\n");
-  }
-  body.append_literal(closing_delimiter(boundary));
-  return body;
+  MultipartWriter writer(boundary, content_type, resource_size);
+  writer.reserve(ranges.size());
+  for (const auto& r : ranges) writer.add_part(r, entity, r.first, r.length());
+  return writer.finish();
 }
 
 std::uint64_t multipart_byteranges_size(const std::vector<ResolvedRange>& ranges,
                                         std::uint64_t resource_size,
                                         std::string_view content_type,
                                         std::string_view boundary) {
-  std::uint64_t total = 0;
-  for (const auto& r : ranges) {
-    total += part_header(r, resource_size, content_type, boundary).size();
-    total += r.length();
-    total += 2;  // CRLF after payload
-  }
-  total += closing_delimiter(boundary).size();
-  return total;
+  return MultipartWriter(boundary, content_type, resource_size).size(ranges);
 }
 
 std::string multipart_content_type(std::string_view boundary) {
@@ -145,8 +178,10 @@ std::optional<std::vector<BytesRangePart>> parse_multipart_byteranges(
     if (!cr) return std::nullopt;
     part.range = cr->range;
     part.resource_size = cr->resource_size;
+    // Overflow-safe: a 20-digit Content-Range must not wrap `len + 2`.
     const std::uint64_t len = part.range.length();
-    if (body.size() - pos < len + 2) return std::nullopt;
+    const std::uint64_t rest = body.size() - pos;
+    if (len > rest || rest - len < 2) return std::nullopt;
     part.payload = Body::literal(std::string{body.substr(pos, len)});
     pos += len;
     if (body.compare(pos, 2, "\r\n") != 0) return std::nullopt;

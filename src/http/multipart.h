@@ -16,13 +16,16 @@
 // amplification in Table V exceeds n * resource_size by a few percent.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "http/body.h"
+#include "http/headers.h"
 #include "http/range.h"
 
 namespace rangeamp::http {
@@ -33,6 +36,55 @@ struct BytesRangePart {
   std::uint64_t resource_size = 0;
   std::string content_type;
   Body payload;
+};
+
+/// Writes one multipart/byteranges body; every producer in the tree (the
+/// origin models and the CDN nodes) frames its parts through it, so there is
+/// one framing implementation.  The text all part heads share -- delimiter,
+/// the vendor's extra per-part fields, the Content-Type line,
+/// "Content-Range: bytes " and "/size" CRLF CRLF -- is formatted once, in the
+/// constructor.  Each part head is then one exact-size string whose three
+/// numbers are written by std::to_chars, and sizes are digit-count
+/// arithmetic that formats nothing.
+///
+/// The CRLF that ends a payload is written at the front of the next part head
+/// (or of the closing delimiter), so a part over a synthetic payload costs one
+/// literal chunk and one span.
+class MultipartWriter {
+ public:
+  MultipartWriter(std::string_view boundary, std::string_view content_type,
+                  std::uint64_t resource_size,
+                  std::span<const HeaderField> extra_headers = {});
+
+  /// Framing bytes part `r` adds around its payload: its head plus the CRLF
+  /// after the payload.
+  std::uint64_t part_framing_size(const ResolvedRange& r) const noexcept;
+
+  /// Bytes of the closing delimiter line.
+  std::uint64_t closing_size() const noexcept { return closing_.size() - 2; }
+
+  /// Exact size of the body whose parts are `ranges`, each carrying
+  /// r.length() payload bytes.
+  std::uint64_t size(const std::vector<ResolvedRange>& ranges) const noexcept;
+
+  /// Reserves room for `parts` parts.
+  void reserve(std::size_t parts) { body_.reserve(2 * parts + 1); }
+
+  /// Appends part `r`: its head, then the `length` bytes of `src` at
+  /// [first, first+length).
+  void add_part(const ResolvedRange& r, const Body& src, std::uint64_t first,
+                std::uint64_t length);
+
+  /// Appends the closing delimiter and hands over the body; the writer is
+  /// spent afterwards.
+  Body finish();
+
+ private:
+  std::string head_prefix_;  ///< CRLF "--" boundary ... "Content-Range: bytes "
+  std::string head_suffix_;  ///< "/" size CRLF CRLF
+  std::string closing_;      ///< CRLF "--" boundary "--" CRLF
+  std::size_t parts_ = 0;
+  Body body_;
 };
 
 /// Builds the multipart body for the given resolved ranges over `entity`

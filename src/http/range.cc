@@ -6,10 +6,12 @@
 namespace rangeamp::http {
 namespace {
 
+bool is_ows(char c) noexcept { return c == ' ' || c == '\t'; }
+
 // Trims optional whitespace (RFC 7230 OWS: SP / HTAB) from both ends.
 std::string_view trim_ows(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
+  while (!s.empty() && is_ows(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_ows(s.back())) s.remove_suffix(1);
   return s;
 }
 
@@ -21,35 +23,36 @@ std::optional<std::uint64_t> parse_pos(std::string_view s) {
   return v;
 }
 
-// Parses one byte-range-spec / suffix-byte-range-spec.
-std::optional<ByteRangeSpec> parse_spec(std::string_view s) {
-  s = trim_ows(s);
-  const auto dash = s.find('-');
-  if (dash == std::string_view::npos) return std::nullopt;
-  const std::string_view before = s.substr(0, dash);
-  const std::string_view after = s.substr(dash + 1);
+// Reads the decimal digits at `p` into `v`.  Returns the position after them,
+// or nullptr when there are none or the value does not fit 64 bits.
+const char* read_pos(const char* p, const char* end, std::uint64_t& v) {
+  const auto [next, ec] = std::from_chars(p, end, v);
+  return ec == std::errc{} ? next : nullptr;
+}
 
-  if (before.empty()) {
-    // suffix-byte-range-spec: "-suffix"
-    const auto suffix = parse_pos(after);
-    if (!suffix) return std::nullopt;
-    return ByteRangeSpec::suffix_of(*suffix);
+// Appends the decimal spelling of `v`.
+void append_u64(std::string& out, std::uint64_t v) {
+  char digits[20];
+  const auto end = std::to_chars(digits, digits + sizeof digits, v).ptr;
+  out.append(digits, end);
+}
+
+void append_spec(std::string& out, const ByteRangeSpec& spec) {
+  if (spec.is_suffix()) {
+    out.push_back('-');
+    append_u64(out, *spec.suffix);
+    return;
   }
-  const auto first = parse_pos(before);
-  if (!first) return std::nullopt;
-  if (after.empty()) return ByteRangeSpec::open(*first);
-  const auto last = parse_pos(after);
-  if (!last) return std::nullopt;
-  if (*last < *first) return std::nullopt;  // RFC 7233 §2.1: invalid spec
-  return ByteRangeSpec::closed(*first, *last);
+  append_u64(out, *spec.first);
+  out.push_back('-');
+  if (spec.last) append_u64(out, *spec.last);
 }
 
 }  // namespace
 
 std::string ByteRangeSpec::to_string() const {
-  if (is_suffix()) return "-" + std::to_string(*suffix);
-  std::string out = std::to_string(*first) + "-";
-  if (last) out += std::to_string(*last);
+  std::string out;
+  append_spec(out, *this);
   return out;
 }
 
@@ -57,7 +60,7 @@ std::string RangeSet::to_string() const {
   std::string out = "bytes=";
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (i) out.push_back(',');
-    out += specs[i].to_string();
+    append_spec(out, specs[i]);
   }
   return out;
 }
@@ -78,23 +81,47 @@ std::optional<RangeSet> parse_range_header(std::string_view value,
                        : value[i];
     if (a != kUnit[i]) return std::nullopt;
   }
-  value.remove_prefix(kUnit.size());
 
+  // One cursor pass over the list: OWS, then a spec or an empty element
+  // (RFC 7230 #rule allows those; they are skipped), then OWS and a comma or
+  // the end.  A spec is digits "-" [digits] or "-" digits.
   RangeSet set;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const auto comma = value.find(',', start);
-    const std::string_view piece =
-        value.substr(start, comma == std::string_view::npos ? std::string_view::npos
-                                                            : comma - start);
-    // RFC 7230 #rule allows empty list elements; skip them.
-    if (!trim_ows(piece).empty()) {
-      auto spec = parse_spec(piece);
-      if (!spec) return std::nullopt;
-      set.specs.push_back(*spec);
+  const char* p = value.data() + kUnit.size();
+  const char* const end = value.data() + value.size();
+  while (true) {
+    while (p != end && is_ows(*p)) ++p;
+    if (p == end) break;
+    if (*p != ',') {
+      // Filled in place: copying in a spec built on the stack stalls on store
+      // forwarding once per element, several times slower under GCC.
+      ByteRangeSpec& spec = set.specs.emplace_back();
+      std::uint64_t n = 0;
+      if (*p == '-') {  // suffix-byte-range-spec: "-suffix"
+        p = read_pos(p + 1, end, n);
+        if (!p) return std::nullopt;
+        spec.suffix = n;
+      } else {
+        p = read_pos(p, end, n);
+        if (!p || p == end || *p != '-') return std::nullopt;
+        spec.first = n;
+        if (++p != end && *p >= '0' && *p <= '9') {
+          p = read_pos(p, end, n);
+          // RFC 7233 §2.1: last < first makes the spec invalid.
+          if (!p || n < *spec.first) return std::nullopt;
+          spec.last = n;
+        }
+      }
+      // Every spec takes at least 3 bytes with its comma, so once one spec
+      // is valid the rest of the value bounds how many can follow.  Bare
+      // commas and garbage never reserve anything.
+      if (set.specs.size() == 1) {
+        set.specs.reserve(static_cast<std::size_t>(end - p) / 3 + 1);
+      }
+      while (p != end && is_ows(*p)) ++p;
+      if (p == end) break;
+      if (*p != ',') return std::nullopt;
     }
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
+    ++p;  // the comma
   }
   if (set.specs.empty()) return std::nullopt;  // byte-range-set is 1#(...)
   return set;
@@ -176,12 +203,19 @@ std::uint64_t total_selected_bytes(const std::vector<ResolvedRange>& ranges) {
 }
 
 std::string content_range(const ResolvedRange& r, std::uint64_t resource_size) {
-  return "bytes " + std::to_string(r.first) + "-" + std::to_string(r.last) + "/" +
-         std::to_string(resource_size);
+  std::string out = "bytes ";
+  append_u64(out, r.first);
+  out.push_back('-');
+  append_u64(out, r.last);
+  out.push_back('/');
+  append_u64(out, resource_size);
+  return out;
 }
 
 std::string content_range_unsatisfied(std::uint64_t resource_size) {
-  return "bytes */" + std::to_string(resource_size);
+  std::string out = "bytes */";
+  append_u64(out, resource_size);
+  return out;
 }
 
 std::optional<ContentRange> parse_content_range(std::string_view value) {

@@ -44,6 +44,7 @@ class TrafficRecorder {
   /// Enables/disables retention of per-exchange records (counters always
   /// accumulate).  Scanners enable it; long benchmark sweeps leave it off.
   void set_keep_log(bool keep) { keep_log_ = keep; }
+  bool keeps_log() const noexcept { return keep_log_; }
 
   void reset() {
     totals_ = {};

@@ -21,8 +21,11 @@ ExchangeScope::ExchangeScope(Transport& transport, const http::Request& request,
       span_.note("range", *range);
     }
   }
-  record.target = request.target;
-  record.range_header = std::string{request.headers.get_or("Range", "")};
+  // Only the per-exchange log reads these; an OBR Range value is ~32 KiB.
+  if (transport.recorder().keeps_log()) {
+    record.target = request.target;
+    record.range_header = std::string{request.headers.get_or("Range", "")};
+  }
 }
 
 void ExchangeScope::finish() {

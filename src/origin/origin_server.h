@@ -12,7 +12,7 @@
 //   * RFC 7233 / post-CVE-2011-3192 hygiene: overlapping or out-of-order
 //     range sets are coalesced, and sets larger than `max_ranges` (Apache's
 //     MaxRanges, default 200) fall back to a 200 full-entity response;
-//   * a fully unsatisfiable set yields 416 with "Content-Range: bytes */size".
+//   * a fully unsatisfiable set yields 416 with Content-Range "bytes */size".
 //
 // The server keeps a request log so the policy scanner can diff what the
 // client sent against what actually arrived behind the CDN (experiment 1).

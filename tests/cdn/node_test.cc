@@ -4,6 +4,7 @@
 
 #include "cdn/gossip.h"
 #include "cdn/logic.h"
+#include "cdn/profiles.h"
 #include "core/testbed.h"
 #include "http/multipart.h"
 #include "http/serialize.h"
@@ -276,6 +277,111 @@ TEST_F(NodeTest, RespondAssembledSinglePartIsPlain206) {
   EXPECT_EQ(resp.body.materialize(), "abcde");
   // Empty part list -> 416.
   EXPECT_EQ(node.respond_assembled(1000, "text/plain", "", "", {}).status, 416);
+}
+
+// ---------------------------------------------------------------------------
+// Multipart framing, pinned byte for byte.  The goldens were recorded before
+// the node's part loops moved into http::MultipartWriter.
+// ---------------------------------------------------------------------------
+
+constexpr std::string_view kAlphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+
+TEST(MultipartGolden, AzureWindowAnswerCarriesItsPerPartFields) {
+  // Azure is the one profile with extra per-part header fields.
+  core::SingleCdnTestbed bed(make_profile(Vendor::kAzure));
+  bed.origin().resources().add_literal("/a.txt", std::string{kAlphabet});
+  const Response resp = bed.send(ranged("/a.txt", "bytes=0-3,2-5,20-"));
+  ASSERT_EQ(resp.status, 206);
+  EXPECT_EQ(resp.headers.get("Content-Length"), "963");
+  EXPECT_EQ(resp.headers.get("Content-Type"),
+            "multipart/byteranges; "
+            "boundary=batchresponse_9f63aa5b-4f21-47e5-ae0c-9f63aa5b4f21");
+  const std::string head =
+      "--batchresponse_9f63aa5b-4f21-47e5-ae0c-9f63aa5b4f21\r\n"
+      "X-Ms-Request-Id: 9f63aa5b-4f21-47e5-ae0c-0123456789ab\r\n"
+      "X-Part-Trace: "
+      "pppppppppppppppppppppppppppppppppppppppppppppppppppppppppppppppppppppp"
+      "ppppppppppppppppppppppppppppppppppppppppppp\r\n"
+      "Content-Type: text/plain\r\n";
+  EXPECT_EQ(resp.body.materialize(),
+            head + "Content-Range: bytes 0-3/26\r\n\r\nABCD\r\n" +  //
+                head + "Content-Range: bytes 2-5/26\r\n\r\nCDEF\r\n" +
+                head + "Content-Range: bytes 20-25/26\r\n\r\nUVWXYZ\r\n" +
+                "--batchresponse_9f63aa5b-4f21-47e5-ae0c-9f63aa5b4f21--\r\n");
+}
+
+TEST(MultipartGolden, SliceAssembledAnswer) {
+  // SliceLogic answers through respond_assembled; the last part's payload is
+  // stitched from two 8-byte slices.
+  VendorProfile profile = generic_profile(std::make_unique<SliceLogic>(8));
+  profile.traits.multipart_part_extra_headers = {{"X-Slice", "8"}};
+  core::SingleCdnTestbed bed(std::move(profile));
+  bed.origin().resources().add_literal("/a.txt", std::string{kAlphabet});
+  const Response resp = bed.send(ranged("/a.txt", "bytes=1-2,0-1,9-12,-3"));
+  ASSERT_EQ(resp.status, 206);
+  EXPECT_EQ(resp.headers.get("Content-Length"), "312");
+  EXPECT_EQ(resp.body.materialize(),
+            "--test_boundary_123\r\n"
+            "X-Slice: 8\r\n"
+            "Content-Type: text/plain\r\n"
+            "Content-Range: bytes 0-2/26\r\n"
+            "\r\n"
+            "ABC\r\n"
+            "--test_boundary_123\r\n"
+            "X-Slice: 8\r\n"
+            "Content-Type: text/plain\r\n"
+            "Content-Range: bytes 9-12/26\r\n"
+            "\r\n"
+            "JKLM\r\n"
+            "--test_boundary_123\r\n"
+            "X-Slice: 8\r\n"
+            "Content-Type: text/plain\r\n"
+            "Content-Range: bytes 23-25/26\r\n"
+            "\r\n"
+            "XYZ\r\n"
+            "--test_boundary_123--\r\n");
+}
+
+TEST(MultipartGolden, OverBudgetAnswersKeepTheir502AndCounters) {
+  // The budget is checked against the computed size before any part is
+  // assembled; the 502, its message and the counters are pinned.
+  VendorProfile profile = generic_profile(std::make_unique<DeletionLogic>());
+  profile.traits.conformance.mode = ConformanceMode::kLenient;
+  profile.traits.conformance.max_multipart_assembly_bytes = 400;
+  core::SingleCdnTestbed bed(std::move(profile));
+  bed.origin().resources().add_synthetic("/r.bin", 1000);
+  obs::MetricsRegistry metrics;
+  bed.cdn().set_metrics(&metrics);
+
+  const Response window = bed.send(ranged("/r.bin", "bytes=0-99,100-199,0-99,5-"));
+  EXPECT_EQ(window.status, 502);
+  EXPECT_EQ(window.body.materialize(),
+            "multipart assembly of 1710 bytes exceeds budget of 400");
+  // Under the budget the same node still answers multipart.
+  const Response small = bed.send(ranged("/r.bin", "bytes=0-9,20-29"));
+  EXPECT_EQ(small.status, 206);
+  EXPECT_EQ(small.body.size(), 237u);
+  const Response assembled = bed.cdn().respond_assembled(
+      1000, "text/plain", "", "",
+      {{http::ResolvedRange{0, 199}, Body::synthetic(1, 0, 200)},
+       {http::ResolvedRange{300, 499}, Body::synthetic(1, 300, 200)}});
+  EXPECT_EQ(assembled.status, 502);
+  EXPECT_EQ(assembled.body.materialize(),
+            "multipart assembly of 593 bytes exceeds budget of 400");
+
+  const ValidationStats& stats = bed.cdn().validation_stats();
+  EXPECT_EQ(stats.assembly_overflows, 2u);
+  EXPECT_EQ(stats.budget_overflows, 0u);
+  EXPECT_EQ(stats.violations, 0u);
+  EXPECT_EQ(
+      metrics.counter("cdn_validator_budget_overflows_total{vendor=\"TestCDN\"}")
+          .value(),
+      2u);
+  EXPECT_EQ(metrics
+                .counter("cdn_validator_violations_total{vendor=\"TestCDN\","
+                         "check=\"multipart-budget\",action=\"reject-502\"}")
+                .value(),
+            2u);
 }
 
 TEST_F(NodeTest, SliceLogicFallsBackWhenOriginLacksRanges) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
+#include "http/generator.h"
+
 namespace rangeamp::http {
 namespace {
 
@@ -148,6 +153,77 @@ TEST(Multipart, EmptyRangeListYieldsOnlyClosingDelimiter) {
   const auto parts = parse_multipart_byteranges(body.materialize(), kBoundary);
   ASSERT_TRUE(parts);
   EXPECT_TRUE(parts->empty());
+}
+
+TEST(Multipart, ParseRejectsPartLengthThatWrapsTheBoundsCheck) {
+  // A 20-digit Content-Range claims 2^64 - 2 payload bytes over an 11-byte
+  // remainder; `len + 2` must not wrap to 0 and admit the part.
+  EXPECT_FALSE(parse_multipart_byteranges(
+      "--B\r\nContent-Range: bytes 0-18446744073709551613/"
+      "18446744073709551614\r\n\r\nXY\r\n--B--\r\n",
+      "B"));
+}
+
+// Golden bytes recorded before the framing moved into MultipartWriter.
+TEST(Multipart, GoldenThreePartBody) {
+  const Body entity = Body::literal("ABCDEFGHIJKLMNOPQRSTUVWXYZ");
+  const Body body = build_multipart_byteranges(
+      entity, {{0, 2}, {10, 10}, {20, 25}}, 26, "text/plain", "B0UND");
+  EXPECT_EQ(body.materialize(),
+            "--B0UND\r\n"
+            "Content-Type: text/plain\r\n"
+            "Content-Range: bytes 0-2/26\r\n"
+            "\r\n"
+            "ABC\r\n"
+            "--B0UND\r\n"
+            "Content-Type: text/plain\r\n"
+            "Content-Range: bytes 10-10/26\r\n"
+            "\r\n"
+            "K\r\n"
+            "--B0UND\r\n"
+            "Content-Type: text/plain\r\n"
+            "Content-Range: bytes 20-25/26\r\n"
+            "\r\n"
+            "UVWXYZ\r\n"
+            "--B0UND--\r\n");
+}
+
+// A position of 1 or of 20 digits, with a short payload so that no total
+// overflows 64 bits.
+ResolvedRange random_range(Rng& rng, std::uint64_t size) {
+  const std::uint64_t len = 1 + rng.below(std::min<std::uint64_t>(size, 64));
+  const std::uint64_t first =
+      rng.chance(0.5) ? rng.below(std::min<std::uint64_t>(size - len + 1, 10))
+                      : size - len - rng.below(std::min<std::uint64_t>(
+                                                   size - len + 1, 10));
+  return {first, first + len - 1};
+}
+
+TEST(MultipartWriter, SizeMatchesBuiltBodyOnSeededShapes) {
+  Rng rng(7233);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::uint64_t size = rng.chance(0.5) ? 1 + rng.below(9)
+                                               : kMax - rng.below(1000);
+    const std::size_t parts = trial % 4 == 0 ? trial % 8 / 4  // 0 or 1 part
+                                             : rng.below(40);
+    std::vector<ResolvedRange> ranges;
+    for (std::size_t i = 0; i < parts; ++i) ranges.push_back(random_range(rng, size));
+    const std::string boundary(1 + rng.below(70), 'b');
+    const std::string type = rng.chance(0.5) ? "text/plain" : "";
+    const Body entity = Body::synthetic(rng.next(), 0, size);
+    const Body body =
+        build_multipart_byteranges(entity, ranges, size, type, boundary);
+    ASSERT_EQ(multipart_byteranges_size(ranges, size, type, boundary), body.size())
+        << "trial " << trial << ", " << parts << " parts of a " << size
+        << "-byte resource";
+    if (size < 10 && parts > 0) {
+      const auto parsed = parse_multipart_byteranges(body.materialize(), boundary);
+      ASSERT_TRUE(parsed);
+      ASSERT_EQ(parsed->size(), parts);
+      EXPECT_EQ(parsed->back().range, ranges.back());
+    }
+  }
 }
 
 }  // namespace

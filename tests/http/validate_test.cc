@@ -197,6 +197,23 @@ TEST(ResponseValidator, MultipartBodyNotFramedWithBoundaryIsFatal) {
                   .has(ValidationCheck::kMultipartFraming));
 }
 
+TEST(ResponseValidator, MultipartPartLengthWrapIsFatal) {
+  // A Byzantine upstream claiming a 2^64 - 2 byte part must not slip past
+  // the framing check through an overflowing bounds test.
+  const std::string body =
+      "--B\r\nContent-Range: bytes 0-18446744073709551613/"
+      "18446744073709551614\r\n\r\nXY\r\n--B--\r\n";
+  Response resp;
+  resp.status = kPartialContent;
+  resp.headers.add("Content-Type", multipart_content_type("B"));
+  resp.headers.add("Content-Length", std::to_string(body.size()));
+  resp.body = Body::literal(body);
+  const ResponseValidator v;
+  const auto report = v.validate(resp, ranges("bytes=0-1,3-4"));
+  EXPECT_TRUE(report.has(ValidationCheck::kMultipartFraming)) << report.summary();
+  EXPECT_TRUE(report.any_fatal());
+}
+
 TEST(ResponseValidator, MultipartExtraPartsAreFlagged) {
   const Body entity = Body::literal(std::string(100, 'a'));
   // Four parts where the client asked for two ranges.
