@@ -20,7 +20,7 @@
 //      paper's OBR topology bent into a loop -- terminates with 508 after a
 //      bounded number of forwards, and forged CDN-Loop chains at ingress are
 //      cut off at the hop cap;
-//   5. Fig 7 projection: the shielded DES run shows the origin uplink
+//   5. Fig 7 projection: the shielded projection shows the origin uplink
 //      staying unsaturated under a load that pins the undefended one.
 //
 // Everything is seeded and clock-driven: two runs emit byte-identical CSVs.
@@ -30,7 +30,7 @@
 #include "core/rangeamp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/des.h"
+#include "sim/attack_load.h"
 
 using namespace rangeamp;
 
@@ -342,7 +342,7 @@ int main() {
 
   // ---- 5. Fig 7 projection: shielded origin uplink ----------------------
   // The paper's saturation load (full-entity pulls at 50 req/s against a
-  // 1000 Mbps uplink) with the shield's knobs applied in the DES engine.
+  // 1000 Mbps uplink) with the shield's knobs filtering its arrivals.
   {
     sim::ShieldedLoadConfig base;
     base.base.requests_per_second = 50;

@@ -23,7 +23,7 @@
 //   I4  off is byte-identical: the knobs-off run replays byte-identically
 //       (the committed CSV is further drift-gated by reproduce.sh).
 //
-// A DES coda projects the deadline knob onto the OBR node-exhaustion model
+// A projection coda puts the deadline knob onto the OBR node-exhaustion model
 // (sim::ShieldedLoadConfig.deadline_seconds): cancelled flows must cut the
 // origin uplink's pinned-resource time against the unprotected baseline.
 // Everything is seeded and clock-driven; two runs emit byte-identical CSVs
@@ -41,7 +41,7 @@
 
 #include "core/rangeamp.h"
 #include "obs/metrics.h"
-#include "sim/des.h"
+#include "sim/attack_load.h"
 
 using namespace rangeamp;
 
@@ -97,7 +97,7 @@ struct RunResult {
   std::uint64_t client_response_bytes = 0;
   std::uint64_t origin_request_bytes = 0;
   std::uint64_t origin_response_bytes = 0;
-  std::uint64_t cancelled_origin_bytes = 0;  ///< DES rows only
+  std::uint64_t cancelled_origin_bytes = 0;  ///< des-exhaustion rows only
   std::uint64_t cached_entries = 0;
   std::vector<std::string> invariant_failures;
 };
@@ -306,9 +306,11 @@ void add_row(core::Table& table, const std::string& scenario,
        std::to_string(r.cached_entries), core::fixed(busy_seconds, 3)});
 }
 
-// DES coda: the deadline knob projected onto the OBR node-exhaustion model.
-// 20 x 10 MiB fetches per second against a 1000 Mbps uplink for 15 s -- a
-// backlog the unprotected origin drains long after the attack stops.
+// Projection coda: the deadline knob projected onto the OBR node-exhaustion
+// model (the "des-exhaustion" rows; the label is a CSV key kept from the
+// discrete-event engine that first ran them).  20 x 10 MiB fetches per
+// second against a 1000 Mbps uplink for 15 s -- a backlog the unprotected
+// origin drains long after the attack stops.
 sim::ShieldedLoadResult run_exhaustion(double deadline_seconds) {
   sim::ShieldedLoadConfig config;
   config.base.requests_per_second = 20;
@@ -387,7 +389,7 @@ int main() {
     if (guarded.deadline_cancelled == 0 ||
         guarded.busy_seconds(1000.0) >= baseline.busy_seconds(1000.0)) {
       guard_row.invariant_failures.push_back(
-          "DES deadline failed to cut pinned-resource time");
+          "projected deadline failed to cut pinned-resource time");
       std::fprintf(stderr,
                    "INVARIANT VIOLATION [des-exhaustion]: busy %0.3f s with "
                    "deadlines vs %0.3f s baseline\n",

@@ -115,10 +115,8 @@ class Cache {
   /// Revalidation outcome for an existing entry: refreshes the freshness
   /// horizon, unless the entry is already stale at `now` AND the new
   /// horizon is not in the future -- then the entry is purged instead of
-  /// being resurrected as stale (TouchResult::kPurgedStale).  The default
-  /// `now` makes every touch a pure refresh (legacy semantics).
-  TouchResult touch(const std::string& key, double expires_at,
-                    double now = -std::numeric_limits<double>::infinity());
+  /// being resurrected as stale (TouchResult::kPurgedStale).
+  TouchResult touch(const std::string& key, double expires_at, double now);
 
   /// Removes one entry.  Removing a `#vary` marker also purges that base
   /// key's `#variant=` entries -- without the marker they are unreachable

@@ -12,7 +12,6 @@
 #include "core/sbr.h"
 #include "core/testbed.h"
 #include "http/generator.h"
-#include "sim/des.h"
 
 namespace rangeamp::core {
 namespace {
@@ -274,39 +273,30 @@ SbrCampaignResult run_sbr_campaign(const SbrCampaignConfig& config,
   result.detector_stats = detector.stats();
   result.shield_stats = merged.shield;
 
-  // Project onto the uplink for the time series: per-request byte costs
-  // are the campaign averages.
-  sim::AttackLoadConfig load;
-  load.origin_uplink_mbps = config.origin_uplink_mbps;
-  load.requests_per_second = config.requests_per_second;
-  load.duration_s = config.duration_s;
-  load.origin_response_bytes = result.origin.response_bytes / total_requests;
-  load.client_response_bytes = result.attacker.response_bytes / total_requests;
-  if (config.shield.coalescing.enabled || config.shield.breaker.enabled) {
-    // Shielded projection: the DES run redoes the grouping/shedding itself,
-    // so origin bytes must be per *fetch that reached the wire*, not the
-    // campaign average (which already folds the absorbed requests in).
-    const std::uint64_t origin_fetches =
-        result.shield_stats.fill_fetches > 0 ? result.shield_stats.fill_fetches
-                                             : total_requests;
-    sim::ShieldedLoadConfig sload;
-    sload.base = load;
-    sload.base.origin_response_bytes = result.origin.response_bytes / origin_fetches;
-    sload.same_key_burst = config.same_key_burst;
-    sload.coalesce = config.shield.coalescing.enabled;
-    const cdn::CircuitBreakerPolicy& cb = config.shield.breaker;
-    if (cb.enabled && cb.max_connections > 0) {
-      // Per-node admission caps aggregate across the deployment's nodes.
-      sload.max_pending =
-          static_cast<std::size_t>(cb.max_connections + cb.max_pending) *
-          config.edge_nodes;
-    }
-    sload.shed_response_bytes = load.client_response_bytes;
-    result.series = sim::simulate_attack_load_shielded(sload).series;
-  } else {
-    result.series = sim::simulate_attack_load(load);
+  // Project onto the uplink for the time series.  The projection redoes the
+  // shield's grouping and shedding itself, so origin bytes are per fetch
+  // that reached the wire; with the shield off every request is one, and
+  // this is the campaign average.
+  const std::uint64_t origin_fetches = result.shield_stats.fill_fetches > 0
+                                           ? result.shield_stats.fill_fetches
+                                           : total_requests;
+  sim::ShieldedLoadConfig load;
+  load.base.origin_uplink_mbps = config.origin_uplink_mbps;
+  load.base.requests_per_second = config.requests_per_second;
+  load.base.duration_s = config.duration_s;
+  load.base.origin_response_bytes = result.origin.response_bytes / origin_fetches;
+  load.base.client_response_bytes = result.attacker.response_bytes / total_requests;
+  load.same_key_burst = config.same_key_burst;
+  load.coalesce = config.shield.coalescing.enabled;
+  const cdn::CircuitBreakerPolicy& cb = config.shield.breaker;
+  if (cb.enabled && cb.max_connections > 0) {
+    // Per-node admission caps aggregate across the deployment's nodes.
+    load.max_pending = static_cast<std::size_t>(cb.max_connections + cb.max_pending) *
+                       config.edge_nodes;
   }
-  result.bandwidth = sim::summarize(load, result.series);
+  load.shed_response_bytes = load.base.client_response_bytes;
+  result.series = sim::simulate_attack_load_shielded(load).series;
+  result.bandwidth = sim::summarize(load.base, result.series);
   return result;
 }
 

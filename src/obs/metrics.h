@@ -3,7 +3,7 @@
 //
 // The registry is deterministic end to end: metric families are kept in a
 // sorted map, histograms use explicit bucket bounds, and the sampler records
-// snapshots at *simulation* timestamps -- a DES campaign emits the same
+// snapshots at *simulation* timestamps -- a simulated campaign emits the same
 // time-series on every run because no wall clock is ever consulted.
 //
 // Like the tracer, the registry is opt-in by pointer: components hold a

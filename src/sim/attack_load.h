@@ -5,8 +5,11 @@
 // response of `origin_response_bytes` on its 1000 Mbps uplink, while the
 // client receives only a `client_response_bytes` 206 once the CDN has pulled
 // the resource.  Output is the per-second bandwidth series the paper plots;
-// the engine jumps between completions and whole-second boundaries, so every
-// sample is exact (origin bytes in a second = capacity x busy time).
+// the engine jumps between completions, deadlines and whole-second
+// boundaries, so every sample is exact (origin bytes in a second = capacity
+// x busy time).  An origin shield in front of the uplink (coalescing, an
+// admission cap, deadlines) filters each second's attack arrivals on the
+// same loop; with every filter off it is the paper's plain projection.
 #pragma once
 
 #include <cstddef>
@@ -68,8 +71,69 @@ struct BandwidthSample {
 /// > 0, or a negative request rate.
 std::size_t series_length(const AttackLoadConfig& config);
 
-/// Runs the attack-load simulation and returns one sample per second.
-/// Throws std::invalid_argument as series_length() does.
+/// The Fig 7 experiment with an origin shield in front of the uplink:
+/// request coalescing collapses same-key bursts into one back-to-origin
+/// flow, admission control sheds arrivals beyond a pending cap, and a
+/// deadline cuts flows that run too long.  The knobs mirror
+/// cdn::OriginShieldPolicy and cdn::DeadlinePolicy, so a campaign's shield
+/// settings project directly onto the time series.  They filter attack
+/// arrivals only; benign cross-traffic reaches the uplink unfiltered.
+struct ShieldedLoadConfig {
+  AttackLoadConfig base;
+
+  /// How many of each second's arrivals share one cache key (the attacker's
+  /// reuse of a cache-busting URL within a burst).  1 = every arrival has a
+  /// distinct key, so coalescing has nothing to collapse.
+  int same_key_burst = 1;
+
+  /// Fill-lock coalescing on: each key group costs one origin flow; the
+  /// followers are answered from the held fill at no origin cost.
+  bool coalesce = false;
+
+  /// Shed arrivals once this many back-to-origin flows are in flight
+  /// (0 = unlimited).  A shed answer is a local 503, not an origin flow.
+  std::size_t max_pending = 0;
+
+  /// Client-side bytes of a shed 503 (counted into client_in_kbps so the
+  /// attacker's view of a shedding origin stays visible in the series).
+  std::uint64_t shed_response_bytes = 0;
+
+  /// Per-exchange deadline (seconds): an origin flow still in flight this
+  /// long after it started is cancelled -- the projection of
+  /// cdn::DeadlinePolicy onto the PS model (0 = off).  Cancellation frees
+  /// the remaining demand; the bytes already moved stay as wasted work in
+  /// cancelled_origin_bytes.  Must be >= 0.
+  double deadline_seconds = 0;
+};
+
+struct ShieldedLoadResult {
+  std::vector<BandwidthSample> series;
+  std::uint64_t origin_fetches = 0;  ///< flows that actually hit the uplink
+  std::uint64_t coalesced = 0;       ///< arrivals absorbed by a fill lock
+  std::uint64_t shed = 0;            ///< arrivals refused by admission control
+  std::uint64_t deadline_cancelled = 0;  ///< flows cut by the deadline
+  double cancelled_origin_bytes = 0;     ///< bytes those flows had moved
+
+  /// Seconds the uplink spent busy (the "pinned resource time" of the OBR
+  /// node-exhaustion scenario): sum of per-second busy fractions, recovered
+  /// from the series by dividing out the configured uplink capacity.
+  double busy_seconds(double uplink_mbps) const noexcept {
+    if (uplink_mbps <= 0) return 0;
+    double busy = 0;
+    for (const BandwidthSample& s : series) {
+      busy += s.origin_out_mbps / uplink_mbps;
+    }
+    return busy;
+  }
+};
+
+/// Runs the attack-load simulation behind the shield and returns one sample
+/// per second plus the shield's counters.  Throws std::invalid_argument on a
+/// base config series_length() rejects or a negative deadline.
+ShieldedLoadResult simulate_attack_load_shielded(const ShieldedLoadConfig& config);
+
+/// The unshielded projection: simulate_attack_load_shielded() with every
+/// filter off.  Throws std::invalid_argument as series_length() does.
 std::vector<BandwidthSample> simulate_attack_load(const AttackLoadConfig& config);
 
 /// Steady-state utilization summary over the attack window.

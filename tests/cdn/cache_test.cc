@@ -145,16 +145,6 @@ TEST(Cache, TouchPurgesStaleEntryWithoutFutureHorizon) {
   EXPECT_EQ(cache.bytes(), 0u);
 }
 
-TEST(Cache, TouchWithoutNowKeepsLegacyRefreshSemantics) {
-  Cache cache;
-  CachedEntity e = entity_of(10);
-  e.expires_at = 50.0;
-  cache.put("k", e);
-  // No `now` supplied: every touch is a pure refresh, as before.
-  EXPECT_EQ(cache.touch("k", 10.0), TouchResult::kRefreshed);
-  ASSERT_NE(cache.find("k"), nullptr);
-}
-
 TEST(Cache, UnboundedNeverEvicts) {
   Cache cache;  // default traits: max_bytes = 0
   for (int i = 0; i < 500; ++i) {

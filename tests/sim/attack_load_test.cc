@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace rangeamp::sim {
 namespace {
@@ -227,6 +230,252 @@ TEST(AttackLoad, TwentyThousandRpsConservesBytes) {
   EXPECT_EQ(series.back().in_flight, 0u);
   EXPECT_GT(peak_in_flight, 150'000u);
 }
+
+// ---------------------------------------------------------------------------
+// The shield's filters: coalescing, admission cap, deadline
+// ---------------------------------------------------------------------------
+
+TEST(ShieldedLoad, DeadlineCancellationCutsPinnedResourceTime) {
+  // A saturating OBR load: 5 x 10 MB fetches per second against a 1 MB/s
+  // uplink.  Unprotected, the backlog pins the uplink far past the attack
+  // window; a 2s per-exchange deadline cancels the stuck flows instead.
+  ShieldedLoadConfig config;
+  config.base.requests_per_second = 5;
+  config.base.origin_response_bytes = 10'000'000;
+  config.base.client_response_bytes = 822;
+  config.base.origin_uplink_mbps = 8.0;  // 1e6 B/s
+  config.base.duration_s = 5.0;
+  config.base.drain_s = 30.0;
+  config.shed_response_bytes = 500;
+
+  const ShieldedLoadResult baseline = simulate_attack_load_shielded(config);
+  config.deadline_seconds = 2.0;
+  const ShieldedLoadResult protected_run = simulate_attack_load_shielded(config);
+
+  EXPECT_EQ(baseline.deadline_cancelled, 0u);
+  EXPECT_GT(protected_run.deadline_cancelled, 0u);
+  EXPECT_GT(protected_run.cancelled_origin_bytes, 0.0);
+  EXPECT_LT(protected_run.busy_seconds(8.0),
+            baseline.busy_seconds(8.0) * 0.5);
+}
+
+TEST(ShieldedLoad, FlowFinishingByItsDeadlineIsNotCut) {
+  // One 500 kB flow per second on a 1 MB/s uplink finishes 0.5 s after it
+  // starts.  A 0.5 s deadline lets every flow complete; a 0.25 s deadline
+  // cuts every flow after it has moved V - V0 = 250 kB.
+  ShieldedLoadConfig config;
+  config.base.requests_per_second = 1;
+  config.base.origin_response_bytes = 500'000;
+  config.base.client_response_bytes = 100;
+  config.base.origin_uplink_mbps = 8.0;  // 1e6 B/s
+  config.base.duration_s = 4.0;
+  config.base.drain_s = 2.0;
+  config.shed_response_bytes = 10;
+  config.deadline_seconds = 0.5;
+  const ShieldedLoadResult in_time = simulate_attack_load_shielded(config);
+  EXPECT_EQ(in_time.deadline_cancelled, 0u);
+  EXPECT_DOUBLE_EQ(in_time.cancelled_origin_bytes, 0.0);
+  EXPECT_DOUBLE_EQ(in_time.busy_seconds(8.0), 2.0);
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_DOUBLE_EQ(in_time.series[s].client_in_kbps, 100 * 8 / 1e3) << s;
+  }
+
+  config.deadline_seconds = 0.25;
+  const ShieldedLoadResult cut = simulate_attack_load_shielded(config);
+  EXPECT_EQ(cut.deadline_cancelled, 4u);
+  EXPECT_DOUBLE_EQ(cut.cancelled_origin_bytes, 4 * 250'000.0);
+  EXPECT_DOUBLE_EQ(cut.busy_seconds(8.0), 1.0);
+  for (std::size_t s = 0; s < 4; ++s) {
+    // The client gets the shed-sized 504, not the 206.
+    EXPECT_DOUBLE_EQ(cut.series[s].client_in_kbps, 10 * 8 / 1e3) << s;
+    EXPECT_EQ(cut.series[s].in_flight, 0u) << s;
+  }
+}
+
+TEST(ShieldedLoad, InertFiltersLeaveThePlainSeries) {
+  // sbr-saturate's shape: 16 000 flows pile up and drain by ~8.4 s.  Every
+  // filter is on but has nothing to do -- one request per key, a cap above
+  // the backlog, a deadline after every flow has finished -- so the series
+  // is the unshielded one, bit for bit.
+  ShieldedLoadConfig config;
+  config.base.requests_per_second = 4000;
+  config.base.duration_s = 4.0;
+  config.base.drain_s = 100.0;
+  config.base.origin_response_bytes = 65'800;
+  config.base.client_response_bytes = 800;
+  config.coalesce = true;
+  config.max_pending = 1'000'000;
+  config.deadline_seconds = 60.0;
+  const ShieldedLoadResult run = simulate_attack_load_shielded(config);
+  EXPECT_EQ(run.origin_fetches, 16'000u);
+  EXPECT_EQ(run.deadline_cancelled, 0u);
+  const std::vector<BandwidthSample> plain = simulate_attack_load(config.base);
+  ASSERT_EQ(run.series.size(), plain.size());
+  for (std::size_t s = 0; s < plain.size(); ++s) {
+    EXPECT_EQ(run.series[s].origin_out_mbps, plain[s].origin_out_mbps) << s;
+    EXPECT_EQ(run.series[s].client_in_kbps, plain[s].client_in_kbps) << s;
+    EXPECT_EQ(run.series[s].in_flight, plain[s].in_flight) << s;
+  }
+}
+
+// The shielded projection uses the plain one's window: a burst at every
+// whole second s < duration_s, a fractional attack's last partial second
+// included.
+TEST(ShieldedLoad, FractionalDurationSendsItsLastBurst) {
+  ShieldedLoadConfig config;
+  config.base.requests_per_second = 8;
+  config.base.duration_s = 2.5;
+  config.base.origin_response_bytes = 1000;
+  config.base.client_response_bytes = 100;
+  config.same_key_burst = 4;
+  config.coalesce = true;
+  const ShieldedLoadResult run = simulate_attack_load_shielded(config);
+  EXPECT_EQ(run.origin_fetches, 3u * 2);  // bursts at 0, 1 and 2 s
+  EXPECT_EQ(run.coalesced, 3u * 6);
+  // Every arrival answers the client once, as in the unshielded run.
+  double shielded_kbits = 0;
+  double plain_kbits = 0;
+  for (const auto& s : run.series) shielded_kbits += s.client_in_kbps;
+  for (const auto& s : simulate_attack_load(config.base)) plain_kbits += s.client_in_kbps;
+  EXPECT_DOUBLE_EQ(plain_kbits, 3 * 8 * 100 * 8 / 1e3);
+  EXPECT_DOUBLE_EQ(shielded_kbits, plain_kbits);
+}
+
+// The projection stops where its series ends: a deadline that falls after
+// the last sample cuts nothing, and its flow is still in flight there.
+TEST(ShieldedLoad, DeadlinePastTheSeriesCutsNothing) {
+  ShieldedLoadConfig config;
+  config.base.requests_per_second = 1;
+  config.base.duration_s = 1.0;
+  config.base.drain_s = 0;
+  config.base.origin_response_bytes = 1'000'000'000;  // 8 s alone at 1000 Mbps
+  config.deadline_seconds = 1.5;
+  const ShieldedLoadResult run = simulate_attack_load_shielded(config);
+  ASSERT_EQ(run.series.size(), 1u);
+  EXPECT_EQ(run.deadline_cancelled, 0u);
+  EXPECT_DOUBLE_EQ(run.cancelled_origin_bytes, 0.0);
+  EXPECT_EQ(run.series[0].in_flight, 1u);
+}
+
+TEST(ShieldedLoad, RejectsInputsNoProjectionCanRun) {
+  ShieldedLoadConfig config;
+  config.base.origin_response_bytes = 1000;
+  config.deadline_seconds = -1.0;
+  EXPECT_THROW(simulate_attack_load_shielded(config), std::invalid_argument);
+  config.deadline_seconds = std::nan("");
+  EXPECT_THROW(simulate_attack_load_shielded(config), std::invalid_argument);
+  config.deadline_seconds = 0;
+  config.base.drain_s = -1.0;
+  EXPECT_THROW(simulate_attack_load_shielded(config), std::invalid_argument);
+  config.base.drain_s = 10.0;
+  config.base.origin_uplink_mbps = 0;
+  EXPECT_THROW(simulate_attack_load_shielded(config), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The shielded benches' shapes, pinned: the three Fig 7 rows of
+// bench_origin_shield and the two node-exhaustion rows of
+// bench_overload_storm.  Counters and in_flight series are the values the
+// discrete-event engine that first ran these shapes produced.
+// ---------------------------------------------------------------------------
+
+struct PinnedShape {
+  const char* name;
+  ShieldedLoadConfig config;
+  std::uint64_t origin_fetches;
+  std::uint64_t coalesced;
+  std::uint64_t shed;
+  std::uint64_t deadline_cancelled;
+  double cancelled_origin_bytes;
+  std::vector<std::size_t> in_flight;  ///< the rest of the series is 0
+};
+
+void PrintTo(const PinnedShape& shape, std::ostream* os) { *os << shape.name; }
+
+ShieldedLoadConfig fig7_shield_config(bool coalesce, std::size_t max_pending) {
+  ShieldedLoadConfig config;
+  config.base.requests_per_second = 50;
+  config.base.duration_s = 30;
+  config.base.origin_response_bytes = 10u << 20;
+  config.base.client_response_bytes = 400;
+  config.same_key_burst = 8;
+  config.coalesce = coalesce;
+  config.max_pending = max_pending;
+  config.shed_response_bytes = max_pending ? 400 : 0;
+  return config;
+}
+
+ShieldedLoadConfig exhaustion_config(double deadline_seconds) {
+  ShieldedLoadConfig config;
+  config.base.requests_per_second = 20;
+  config.base.origin_response_bytes = 10u << 20;
+  config.base.client_response_bytes = 822;
+  config.base.origin_uplink_mbps = 1000.0;
+  config.base.duration_s = 15.0;
+  config.base.drain_s = 45.0;
+  config.shed_response_bytes = 500;
+  config.deadline_seconds = deadline_seconds;
+  return config;
+}
+
+std::vector<std::size_t> unshielded_fig7_in_flight() {
+  std::vector<std::size_t> in_flight;
+  for (std::size_t s = 1; s <= 30; ++s) in_flight.push_back(50 * s);
+  in_flight.insert(in_flight.end(), 5, 1500);
+  in_flight.insert(in_flight.end(), 5, 1450);
+  return in_flight;
+}
+
+const PinnedShape kPinnedShapes[] = {
+    {"Fig7None", fig7_shield_config(false, 0), 1500, 0, 0, 0, 0,
+     unshielded_fig7_in_flight()},
+    {"Fig7Coalescing", fig7_shield_config(true, 0), 210, 1290, 0, 0, 0, {}},
+    {"Fig7Admission", fig7_shield_config(false, 8), 240, 0, 1260, 0, 0, {}},
+    {"ExhaustionNoDeadline", exhaustion_config(0), 300, 0, 0, 0, 0,
+     {20, 40, 40, 60, 80, 80, 100, 120, 120, 140, 160, 160, 180,
+      200, 220, 200, 200, 180, 180, 160, 160, 140, 120, 100, 40}},
+    {"ExhaustionDeadline2s", exhaustion_config(2.0), 300, 0, 0, 300, 2e9,
+     {20, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 20}},
+};
+
+class ShieldedLoadPinned : public ::testing::TestWithParam<PinnedShape> {};
+
+TEST_P(ShieldedLoadPinned, MatchesTheDiscreteEventRecord) {
+  const PinnedShape& shape = GetParam();
+  const ShieldedLoadResult run = simulate_attack_load_shielded(shape.config);
+  EXPECT_EQ(run.origin_fetches, shape.origin_fetches);
+  EXPECT_EQ(run.coalesced, shape.coalesced);
+  EXPECT_EQ(run.shed, shape.shed);
+  EXPECT_EQ(run.deadline_cancelled, shape.deadline_cancelled);
+  EXPECT_DOUBLE_EQ(run.cancelled_origin_bytes, shape.cancelled_origin_bytes);
+  ASSERT_EQ(run.series.size(), series_length(shape.config.base));
+  for (std::size_t s = 0; s < run.series.size(); ++s) {
+    const std::size_t expected = s < shape.in_flight.size() ? shape.in_flight[s] : 0;
+    EXPECT_EQ(run.series[s].in_flight, expected) << "second " << s;
+  }
+}
+
+TEST_P(ShieldedLoadPinned, EveryOriginByteBelongsToACompletedOrCutFlow) {
+  // Drained to empty, the uplink has moved exactly the completed flows'
+  // bytes plus what the cut ones moved before their deadline.
+  ShieldedLoadConfig config = GetParam().config;
+  config.base.drain_s = 200.0;
+  const ShieldedLoadResult run = simulate_attack_load_shielded(config);
+  ASSERT_EQ(run.series.back().in_flight, 0u);
+  double origin_bytes = 0;
+  for (const auto& s : run.series) origin_bytes += s.origin_out_mbps * 1e6 / 8.0;
+  const double moved =
+      static_cast<double>(run.origin_fetches - run.deadline_cancelled) *
+          static_cast<double>(config.base.origin_response_bytes) +
+      run.cancelled_origin_bytes;
+  EXPECT_NEAR(origin_bytes, moved, moved * 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(BenchShapes, ShieldedLoadPinned,
+                         ::testing::ValuesIn(kPinnedShapes),
+                         [](const ::testing::TestParamInfo<PinnedShape>& info) {
+                           return std::string(info.param.name);
+                         });
 
 // ---------------------------------------------------------------------------
 // The engine against the fixed-step fluid integrator it replaced: each

@@ -10,9 +10,8 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
-
-#include "sim/des.h"
 
 namespace rangeamp::sim {
 namespace {
@@ -98,6 +97,40 @@ TEST(PsEngine, CompletionOrderFollowsSize) {
   EXPECT_NEAR(done[2].at, 6.0, 1e-9);
 }
 
+TEST(PsEngine, LateArrivalRescalesShares) {
+  // 1000 B at t=0 on 100 B/s; at t=5 another 1000 B arrives.  The first has
+  // 500 B left and gets 50 B/s: done at t=15.  The second got 500 B by then
+  // and finishes the rest alone at 100 B/s: done at t=20.
+  PsEngine link(100.0);
+  link.start_flow(1000);
+  EXPECT_TRUE(run_until(link, 5.0).empty());
+  link.start_flow(1000);
+  const auto done = run_until(link, 50.0);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_NEAR(done[0].at, 15.0, 1e-9);
+  EXPECT_NEAR(done[1].at, 20.0, 1e-9);
+}
+
+TEST(PsEngine, CancelFlowFreesCapacityForSurvivors) {
+  // A (1000 B) and B (1000 B) on 100 B/s share 50 B/s each.  B is cancelled
+  // at t=5 with 750 B remaining; A then runs alone at 100 B/s and finishes
+  // its remaining 750 B at t=12.5.  B's V - V0 = 250 moved bytes are wasted
+  // work.
+  PsEngine link(100.0);
+  link.start_flow(1000);
+  const double b_start = link.virtual_time();
+  const auto b = link.start_flow(1000);
+  EXPECT_TRUE(run_until(link, 5.0).empty());
+  EXPECT_NEAR(link.virtual_time() - b_start, 250.0, 1e-9);
+  link.cancel_flow(b);
+  EXPECT_EQ(link.active_flows(), 1u);
+  const auto done = run_until(link, 50.0);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_NE(done[0].id, b);
+  EXPECT_NEAR(done[0].at, 12.5, 1e-9);
+  EXPECT_NEAR(moved_bytes(link), 1250.0, 1e-9);
+}
+
 TEST(PsEngine, ZeroByteFlowCompletesImmediately) {
   PsEngine link(100.0);
   link.start_flow(0);
@@ -130,38 +163,140 @@ TEST(PsEngine, RejectsCapacityThatCannotMoveBytes) {
 }
 
 // ---------------------------------------------------------------------------
+// PsLink: PsEngine plus the caller's per-flow bookkeeping
+// ---------------------------------------------------------------------------
+
+// The bytes and start virtual time of each flow in flight, which a caller
+// keeps to account completed bytes and to cancel flows.
+class PsLink {
+ public:
+  explicit PsLink(double capacity) : engine_(capacity) {}
+
+  std::uint64_t start_flow(std::uint64_t bytes) {
+    const std::uint64_t id = engine_.start_flow(bytes);
+    in_flight_.emplace(id, InFlight{bytes, engine_.virtual_time()});
+    return id;
+  }
+
+  bool cancel_flow(std::uint64_t id) {
+    const auto it = in_flight_.find(id);
+    if (it == in_flight_.end()) return false;
+    cancelled_bytes_ += std::clamp(engine_.virtual_time() - it->second.start_virtual,
+                                   0.0, static_cast<double>(it->second.bytes));
+    in_flight_.erase(it);
+    engine_.cancel_flow(id);
+    return true;
+  }
+
+  template <typename OnComplete>
+  void run_until(double t, OnComplete&& on_complete) {
+    engine_.run_until(t, [&](const PsFlow& flow, double at) {
+      const auto it = in_flight_.find(flow.id);
+      completed_bytes_ += static_cast<double>(it->second.bytes);
+      in_flight_.erase(it);
+      on_complete(flow.id, at);
+    });
+  }
+
+  double completed_bytes() const { return completed_bytes_; }
+  double cancelled_bytes() const { return cancelled_bytes_; }
+  double busy_bytes() const { return engine_.capacity() * engine_.busy_time(); }
+  std::size_t active_flows() const { return engine_.active_flows(); }
+
+ private:
+  struct InFlight {
+    std::uint64_t bytes;
+    double start_virtual;
+  };
+
+  PsEngine engine_;
+  std::unordered_map<std::uint64_t, InFlight> in_flight_;
+  double completed_bytes_ = 0;
+  double cancelled_bytes_ = 0;
+};
+
+TEST(PsLink, SingleFlowCompletesAtExactTime) {
+  PsLink link(1000.0);
+  std::vector<double> completed_at;
+  link.start_flow(500);
+  link.run_until(10.0, [&](std::uint64_t, double at) { completed_at.push_back(at); });
+  ASSERT_EQ(completed_at.size(), 1u);
+  EXPECT_DOUBLE_EQ(completed_at[0], 0.5);
+  EXPECT_DOUBLE_EQ(link.completed_bytes(), 500.0);
+}
+
+TEST(PsLink, TwoFlowsShareExactly) {
+  // Flow A (300 B) and flow B (600 B) on a 300 B/s link, both at t=0:
+  // share 150 B/s each; A done at t=2 (300/150); then B alone finishes its
+  // remaining 300 B at 300 B/s -> t=3.
+  PsLink link(300.0);
+  std::vector<double> completions;
+  link.start_flow(300);
+  link.start_flow(600);
+  link.run_until(10.0, [&](std::uint64_t, double at) { completions.push_back(at); });
+  ASSERT_EQ(completions.size(), 2u);
+  EXPECT_NEAR(completions[0], 2.0, 1e-9);
+  EXPECT_NEAR(completions[1], 3.0, 1e-9);
+  EXPECT_DOUBLE_EQ(link.completed_bytes(), 900.0);
+}
+
+TEST(PsLink, ZeroByteFlowCompletesImmediately) {
+  PsLink link(100.0);
+  std::vector<double> completions;
+  link.start_flow(0);
+  link.run_until(1.0, [&](std::uint64_t, double at) { completions.push_back(at); });
+  ASSERT_EQ(completions.size(), 1u);
+  EXPECT_DOUBLE_EQ(completions[0], 0.0);
+  EXPECT_DOUBLE_EQ(link.completed_bytes(), 0.0);
+  EXPECT_EQ(link.active_flows(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Differential check against a naive O(F) processor-sharing link
 // ---------------------------------------------------------------------------
 
 // Event-to-event PS with a linear scan per event: every active flow's
 // remaining bytes drop by share * dt, and the next completion is the
 // smallest remaining / share.  Independent of the virtual clock.
-class NaivePsLink {
+class NaiveLink {
  public:
-  NaivePsLink(EventQueue& queue, double capacity, PsLink::CompletionHandler on_completion)
-      : queue_(queue), capacity_(capacity), on_completion_(std::move(on_completion)) {}
+  explicit NaiveLink(double capacity) : capacity_(capacity) {}
 
   std::uint64_t start_flow(std::uint64_t bytes) {
-    advance_to_now();
     const std::uint64_t id = next_id_++;
-    if (bytes == 0) {
-      queue_.schedule(queue_.now(), [this, id] { on_completion_(id, 0, 0); });
-      return id;
-    }
     flows_.push_back({id, static_cast<double>(bytes), static_cast<double>(bytes)});
-    arm();
     return id;
   }
 
   bool cancel_flow(std::uint64_t id) {
-    advance_to_now();
     const auto it = std::find_if(flows_.begin(), flows_.end(),
                                  [&](const Flow& f) { return f.id == id; });
     if (it == flows_.end()) return false;
     cancelled_bytes_ += it->total - it->remaining;
     flows_.erase(it);
-    arm();
     return true;
+  }
+
+  template <typename OnComplete>
+  void run_until(double t, OnComplete&& on_complete) {
+    while (!flows_.empty()) {
+      const double share = capacity_ / static_cast<double>(flows_.size());
+      double min_remaining = flows_.front().remaining;
+      for (const Flow& f : flows_) min_remaining = std::min(min_remaining, f.remaining);
+      const double at = now_ + min_remaining / share;
+      if (at > t) break;
+      advance_to(at);
+      for (auto it = flows_.begin(); it != flows_.end();) {
+        if (it->remaining <= 1e-6) {
+          completed_bytes_ += it->total;
+          on_complete(it->id, at);
+          it = flows_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    advance_to(t);
   }
 
   double completed_bytes() const { return completed_bytes_; }
@@ -174,50 +309,20 @@ class NaivePsLink {
     double remaining;
   };
 
-  void advance_to_now() {
-    const double dt = queue_.now() - last_update_;
-    if (dt > 0 && !flows_.empty()) {
+  void advance_to(double t) {
+    if (!flows_.empty()) {
       const double share = capacity_ / static_cast<double>(flows_.size());
-      for (Flow& f : flows_) f.remaining = std::max(0.0, f.remaining - share * dt);
+      for (Flow& f : flows_) f.remaining = std::max(0.0, f.remaining - share * (t - now_));
     }
-    last_update_ = queue_.now();
+    now_ = t;
   }
 
-  void arm() {
-    if (flows_.empty()) return;
-    const double share = capacity_ / static_cast<double>(flows_.size());
-    double min_remaining = flows_.front().remaining;
-    for (const Flow& f : flows_) min_remaining = std::min(min_remaining, f.remaining);
-    const std::uint64_t generation = ++generation_;
-    queue_.schedule(queue_.now() + min_remaining / share, [this, generation] {
-      if (generation != generation_) return;
-      advance_to_now();
-      std::vector<Flow> done;
-      for (auto it = flows_.begin(); it != flows_.end();) {
-        if (it->remaining <= 1e-6) {
-          completed_bytes_ += it->total;
-          done.push_back(*it);
-          it = flows_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (const Flow& f : done) {
-        on_completion_(f.id, static_cast<std::uint64_t>(f.total), 0);
-      }
-      arm();
-    });
-  }
-
-  EventQueue& queue_;
   double capacity_;
-  PsLink::CompletionHandler on_completion_;
   std::vector<Flow> flows_;
-  double last_update_ = 0;
+  double now_ = 0;
   double completed_bytes_ = 0;
   double cancelled_bytes_ = 0;
   std::uint64_t next_id_ = 1;
-  std::uint64_t generation_ = 0;
 };
 
 struct ScenarioFlow {
@@ -234,32 +339,49 @@ struct Outcome {
   double busy_bytes = 0;  ///< capacity x busy time (heap engine only)
 };
 
-// Drives `Link` through the scenario on its own event queue.
+// Drives `Link` through the scenario's arrivals and cancels in time order;
+// at one instant, arrivals go before cancels.  Before each event the link
+// retires every flow that finishes by then.
 template <typename Link>
 Outcome play(double capacity, const std::vector<ScenarioFlow>& flows) {
-  EventQueue queue;
+  struct Event {
+    double at;
+    bool cancel;
+    std::size_t flow;
+  };
+  std::vector<Event> events;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    events.push_back({flows[i].arrival, false, i});
+  }
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (flows[i].cancel_after >= 0) {
+      events.push_back({flows[i].arrival + flows[i].cancel_after, true, i});
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const Event& a, const Event& b) { return a.at < b.at; });
+
+  Link link(capacity);
   Outcome out;
   out.cancelled.assign(flows.size(), false);
+  std::vector<std::uint64_t> id_of(flows.size());
   std::map<std::uint64_t, std::size_t> index_of;
-  Link link(queue, capacity, [&](std::uint64_t id, std::uint64_t, double) {
-    out.completed_at[index_of.at(id)] = queue.now();
-  });
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    queue.schedule(flows[i].arrival, [&, i] {
-      const std::uint64_t id = link.start_flow(flows[i].bytes);
-      index_of[id] = i;
-      if (flows[i].cancel_after >= 0) {
-        queue.schedule_in(flows[i].cancel_after,
-                          [&, i, id] { out.cancelled[i] = link.cancel_flow(id); });
-      }
-    });
+  const auto on_complete = [&](std::uint64_t id, double at) {
+    out.completed_at[index_of.at(id)] = at;
+  };
+  for (const Event& event : events) {
+    link.run_until(event.at, on_complete);
+    if (event.cancel) {
+      out.cancelled[event.flow] = link.cancel_flow(id_of[event.flow]);
+    } else {
+      id_of[event.flow] = link.start_flow(flows[event.flow].bytes);
+      index_of[id_of[event.flow]] = event.flow;
+    }
   }
-  queue.run_until(1e12);
+  link.run_until(1e12, on_complete);
   out.completed_bytes = link.completed_bytes();
   out.cancelled_bytes = link.cancelled_bytes();
-  if constexpr (std::is_same_v<Link, PsLink>) {
-    out.busy_bytes = capacity * link.busy_time();
-  }
+  if constexpr (std::is_same_v<Link, PsLink>) out.busy_bytes = link.busy_bytes();
   return out;
 }
 
@@ -282,7 +404,7 @@ TEST(PsEngineDifferential, HeapEngineMatchesNaiveLinkOnRandomScenarios) {
     }
     SCOPED_TRACE("scenario " + std::to_string(scenario));
     const Outcome heap = play<PsLink>(capacity, flows);
-    const Outcome naive = play<NaivePsLink>(capacity, flows);
+    const Outcome naive = play<NaiveLink>(capacity, flows);
 
     ASSERT_EQ(heap.cancelled, naive.cancelled);
     ASSERT_EQ(heap.completed_at.size(), naive.completed_at.size());
