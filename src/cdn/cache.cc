@@ -10,6 +10,10 @@ namespace {
 /// Keeps zero-byte markers (`#vary`) and negative entries budget-visible.
 constexpr std::uint64_t kEntryOverhead = 64;
 
+/// Room Cache::key leaves for the node's longest fixed suffix, so a probe
+/// that appends `#vary`, `#neg` or `#slice-total` never regrows the key.
+constexpr std::size_t kSuffixRoom = sizeof("#slice-total") - 1;
+
 /// FNV-1a 64-bit.  Deterministic across platforms, unlike std::hash --
 /// sharded layouts (and therefore sharded campaign CSVs) must not depend on
 /// the standard library's hash choice.
@@ -56,7 +60,7 @@ Cache::Cache(const CacheTraits& traits) : traits_(traits) {
 
 std::string Cache::key(std::string_view host, std::string_view target) {
   std::string k;
-  k.reserve(host.size() + 1 + target.size());
+  k.reserve(host.size() + 1 + target.size() + kSuffixRoom);
   k.append(host).push_back('|');
   k.append(target);
   return k;

@@ -18,8 +18,9 @@ Response deletion_miss(CdnNode& node, const Request& request,
   // Partial fills (truncated entities) never reach the cache:
   // entity_from_response refuses bodies shorter than their Content-Length.
   if (auto entity = CdnNode::entity_from_response(result.response)) {
-    node.store(request, *entity);
-    return node.respond_entity(*entity, range);
+    Response response = node.respond_entity(*entity, range);
+    node.store(request, std::move(*entity));
+    return response;
   }
   return node.relay(std::move(result.response));
 }
@@ -31,9 +32,11 @@ Response laziness_miss(CdnNode& node, const Request& request,
   if (!result.ok()) return node.degrade(request, range, result);
   if (result.response.status == http::kOk) {
     if (auto entity = CdnNode::entity_from_response(result.response)) {
-      node.store(request, *entity);
-      if (range && serve_range_on_200) return node.respond_entity(*entity, range);
-      return node.respond_entity(*entity, std::nullopt);
+      Response response = serve_range_on_200
+                              ? node.respond_entity(*entity, range)
+                              : node.respond_entity(*entity, std::nullopt);
+      node.store(request, std::move(*entity));
+      return response;
     }
   }
   // The OBR passthrough: the BCDN's n-part body moves through this hop.
@@ -62,8 +65,9 @@ Response serve_upstream_result(CdnNode& node, const Request& request,
                                const std::optional<RangeSet>& client_range) {
   if (upstream.status == http::kOk) {
     if (auto entity = CdnNode::entity_from_response(upstream)) {
-      node.store(request, *entity);
-      return node.respond_entity(*entity, client_range);
+      Response response = node.respond_entity(*entity, client_range);
+      node.store(request, std::move(*entity));
+      return response;
     }
   }
   if (client_range) {

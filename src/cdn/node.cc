@@ -30,14 +30,29 @@ bool is_hop_by_hop(std::string_view name) {
                      [&](std::string_view h) { return http::iequals(h, name); });
 }
 
+// Writes `serial` over out[0, 16) as zero-padded lowercase hex (the
+// "%016llx" form).
+void write_serial(char* out, std::uint64_t serial) {
+  char digits[16];
+  char* end = std::to_chars(digits, digits + 16, serial, 16).ptr;
+  const std::ptrdiff_t zeros = 16 - (end - digits);
+  std::fill(out, out + zeros, '0');
+  std::copy(digits, end, out + zeros);
+}
+
 // Builds a vendor-styled response: status line, Date, identity headers,
 // content headers, Accept-Ranges and the calibration pad.  Shared between
 // CdnNode and calibrate_response_pad() so calibration measures exactly what
-// the node emits.
+// the node emits.  A pad of 16 bytes or more opens with `serial`.
 Response styled_response(const VendorTraits& traits, int status,
-                         const Headers& content_headers, Body body) {
+                         Headers content_headers, Body body,
+                         std::uint64_t serial) {
   Response resp;
   resp.status = status;
+  // Date, Via, Accept-Ranges and the pad frame the identity and content
+  // fields.
+  resp.headers.reserve(traits.response_identity_headers.size() +
+                       content_headers.size() + 4);
   resp.headers.add("Date", traits.date);
   for (const auto& f : traits.response_identity_headers) {
     resp.headers.add(f.name, f.value);
@@ -48,16 +63,31 @@ Response styled_response(const VendorTraits& traits, int status,
     // in every segment's byte accounting.
     resp.headers.add("Via", "1.1 " + traits.node_id);
   }
-  for (const auto& f : content_headers) {
-    resp.headers.add(f.name, f.value);
-  }
+  resp.headers.append(std::move(content_headers));
   resp.headers.add("Accept-Ranges", "bytes");
   if (traits.response_pad_bytes > 0) {
-    resp.headers.add(std::string{kPadHeaderName},
-                     std::string(traits.response_pad_bytes, 'x'));
+    std::string pad(traits.response_pad_bytes, 'x');
+    if (pad.size() >= 16) write_serial(pad.data(), serial);
+    resp.headers.add(std::string{kPadHeaderName}, std::move(pad));
   }
   resp.body = std::move(body);
   return resp;
+}
+
+// The content fields of a served representation, in wire order: the
+// validators it has, Content-Length, Content-Range (when not empty) and
+// Content-Type.
+Headers content_fields(std::string_view last_modified, std::string_view etag,
+                       std::uint64_t length, std::string content_range,
+                       std::string content_type) {
+  Headers h;
+  h.reserve(5);
+  if (!last_modified.empty()) h.add("Last-Modified", std::string{last_modified});
+  if (!etag.empty()) h.add("ETag", std::string{etag});
+  h.add("Content-Length", std::to_string(length));
+  if (!content_range.empty()) h.add("Content-Range", std::move(content_range));
+  h.add("Content-Type", std::move(content_type));
+  return h;
 }
 
 }  // namespace
@@ -215,6 +245,15 @@ Response CdnNode::handle_request(const Request& request, obs::SpanScope& span) {
                      std::to_string(traits_.ingress_max_range_count) + ")");
   }
 
+  // RFC 9112 section 3.2 gives the request-target no fragment, and RFC
+  // 3986's reg-name has no '#'.  The node keeps its own entries under
+  // '#'-suffixed keys (docs/cache-model.md), so a target or Host that could
+  // spell one would alias them.
+  if (request.target.find('#') != std::string::npos ||
+      request.headers.get_or("Host", "").find('#') != std::string_view::npos) {
+    return error(http::kBadRequest, "'#' in request target or Host");
+  }
+
   // Quarantine sits below the protocol rejections (431/508/400) and the
   // deadline ingress check (which must run unconditionally to reset
   // per-exchange state), and above everything that costs work: cache
@@ -226,7 +265,7 @@ Response CdnNode::handle_request(const Request& request, obs::SpanScope& span) {
   }
 
   if (traits_.cache_enabled) {
-    const auto key = resolve_cache_key(request);
+    std::string key = resolve_cache_key(request);
     if (const CachedEntity* hit = cache_.find(key)) {
       const double now = clock_ ? clock_() : 0.0;
       if (hit->fresh_at(now)) {
@@ -284,7 +323,8 @@ Response CdnNode::handle_request(const Request& request, obs::SpanScope& span) {
       }
       // Revalidation failed outright: fall through to the vendor's miss path.
     }
-    if (const CachedEntity* negative = cache_.find(key + "#neg")) {
+    key.append("#neg");  // the key's last use
+    if (const CachedEntity* negative = cache_.find(key)) {
       const double now = clock_ ? clock_() : 0.0;
       if (negative->fresh_at(now)) {
         span.note("cache", "negative-hit");
@@ -549,6 +589,10 @@ Request CdnNode::build_upstream_request(const Request& client_request,
   Request upstream_request;
   upstream_request.method = method_override;
   upstream_request.target = client_request.target;
+  // CDN-Loop, Via and Range, plus the deadline and attempt stamps
+  // fetch_result sets per attempt.
+  upstream_request.headers.reserve(client_request.headers.size() +
+                                   traits_.forward_headers.size() + 5);
   for (const auto& f : client_request.headers.fields()) {
     if (http::iequals(f.name, "Range") || is_hop_by_hop(f.name)) continue;
     // The deadline/attempt headers are hop-by-hop too: each hop re-stamps
@@ -1052,13 +1096,17 @@ std::string variant_of(const Request& request, std::string_view vary) {
 }  // namespace
 
 std::string CdnNode::resolve_cache_key(const Request& request) const {
-  const std::string base = cache_key(request);
+  std::string key = cache_key(request);
+  const std::size_t base = key.size();
   // A marker entry records that this URL's responses vary; the entity then
   // lives under a per-variant key (RFC 7234 section 4.1's secondary key).
-  if (const CachedEntity* marker = cache_.find(base + "#vary")) {
-    return base + "#variant=" + variant_of(request, marker->vary);
+  key.append("#vary");
+  const CachedEntity* marker = cache_.find(key);
+  key.resize(base);
+  if (marker != nullptr) {
+    key.append("#variant=").append(variant_of(request, marker->vary));
   }
-  return base;
+  return key;
 }
 
 std::string CdnNode::cache_key(const Request& request) const {
@@ -1067,7 +1115,7 @@ std::string CdnNode::cache_key(const Request& request) const {
                                                : std::string_view{request.target});
 }
 
-void CdnNode::store(const Request& request, const CachedEntity& entity) {
+void CdnNode::store(const Request& request, CachedEntity entity) {
   if (!traits_.cache_enabled) return;
   if (fetch_taint_no_store_) {
     // Cache-poison guard: the response this entity came from failed
@@ -1082,85 +1130,58 @@ void CdnNode::store(const Request& request, const CachedEntity& entity) {
     }
     return;
   }
-  CachedEntity stored = entity;
   if (traits_.cache_ttl_seconds > 0 && clock_) {
-    stored.expires_at = clock_() + traits_.cache_ttl_seconds;
+    entity.expires_at = clock_() + traits_.cache_ttl_seconds;
   }
-  const std::string base = cache_key(request);
-  if (!stored.vary.empty()) {
+  std::string key = cache_key(request);
+  if (!entity.vary.empty()) {
     CachedEntity marker;
-    marker.vary = stored.vary;
-    const std::string variant_key =
-        base + "#variant=" + variant_of(request, stored.vary);
-    cache_.put(base + "#vary", std::move(marker));
-    cache_.put(variant_key, std::move(stored));
+    marker.vary = entity.vary;
+    std::string variant_key =
+        key + "#variant=" + variant_of(request, entity.vary);
+    key.append("#vary");
+    cache_.put(std::move(key), std::move(marker));
+    cache_.put(std::move(variant_key), std::move(entity));
     return;
   }
-  cache_.put(base, std::move(stored));
-}
-
-Headers CdnNode::entity_content_headers(const CachedEntity& entity) const {
-  Headers h;
-  if (!entity.last_modified.empty()) h.add("Last-Modified", entity.last_modified);
-  if (!entity.etag.empty()) h.add("ETag", entity.etag);
-  return h;
+  cache_.put(std::move(key), std::move(entity));
 }
 
 Response CdnNode::respond_416(std::uint64_t total_size) {
   Headers content;
+  content.reserve(2);
   content.add("Content-Range", http::content_range_unsatisfied(total_size));
   content.add("Content-Length", "0");
-  return style(http::kRangeNotSatisfiable, content, Body{});
+  return style(http::kRangeNotSatisfiable, std::move(content), Body{});
 }
 
 Response CdnNode::respond_entity(const CachedEntity& entity,
                                  const std::optional<RangeSet>& range) {
-  EntityWindow window;
-  window.body = entity.entity;
-  window.offset = 0;
-  window.total_size = entity.size();
-  window.content_type = entity.content_type;
-  window.etag = entity.etag;
-  window.last_modified = entity.last_modified;
-
-  if (!range) {
-    Headers content = entity_content_headers(entity);
-    content.add("Content-Length", std::to_string(entity.size()));
-    content.add("Content-Type", entity.content_type);
-    return style(http::kOk, content, entity.entity);
-  }
-  return respond_window(window, *range);
+  return serve({entity.entity, 0, entity.size(), entity.content_type,
+                entity.etag, entity.last_modified},
+               range ? &*range : nullptr);
 }
 
 Response CdnNode::respond_window(const EntityWindow& window, const RangeSet& range) {
-  const std::uint64_t total = window.total_size;
+  return serve({window.body, window.offset, window.total_size,
+                window.content_type, window.etag, window.last_modified},
+               &range);
+}
+
+Response CdnNode::serve(const WindowRef& window, const RangeSet* range) {
+  const std::uint64_t total = window.total;
   const std::uint64_t win_first = window.offset;
   const std::uint64_t win_size = window.body.size();
-  const bool full_cover = win_first == 0 && win_size == total;
 
-  auto resolved = http::resolve_all(range, total);
-  if (resolved.empty()) return respond_416(total);
-
-  // Keep only ranges the window can serve.
-  std::vector<ResolvedRange> servable;
-  for (const auto& r : resolved) {
-    if (r.first >= win_first && r.last < win_first + win_size) servable.push_back(r);
-  }
-  if (servable.empty()) {
-    return error(http::kBadGateway, "no requested range within fetched window");
-  }
-
-  CachedEntity meta;
-  meta.content_type = window.content_type;
-  meta.etag = window.etag;
-  meta.last_modified = window.last_modified;
-
+  const auto content = [&](std::uint64_t length, std::string content_range,
+                           std::string content_type) {
+    return content_fields(window.last_modified, window.etag, length,
+                          std::move(content_range), std::move(content_type));
+  };
   const auto single = [&](const ResolvedRange& r) {
-    Headers content = entity_content_headers(meta);
-    content.add("Content-Length", std::to_string(r.length()));
-    content.add("Content-Range", http::content_range(r, total));
-    content.add("Content-Type", window.content_type);
-    return style(http::kPartialContent, content,
+    return style(http::kPartialContent,
+                 content(r.length(), http::content_range(r, total),
+                         window.content_type),
                  window.body.slice(r.first - win_first, r.length()));
   };
   const auto multipart = [&](const std::vector<ResolvedRange>& ranges) {
@@ -1173,21 +1194,30 @@ Response CdnNode::respond_window(const EntityWindow& window, const RangeSet& ran
     for (const auto& r : ranges) {
       writer.add_part(r, window.body, r.first - win_first, r.length());
     }
-    Headers content = entity_content_headers(meta);
-    content.add("Content-Length", std::to_string(size));
-    content.add("Content-Type",
-                http::multipart_content_type(traits_.multipart_boundary));
-    return style(http::kPartialContent, content, writer.finish());
+    return style(http::kPartialContent,
+                 content(size, {},
+                         http::multipart_content_type(traits_.multipart_boundary)),
+                 writer.finish());
   };
   const auto full_200 = [&]() -> Response {
-    if (!full_cover) {
+    if (win_first != 0 || win_size != total) {
       return error(http::kBadGateway, "policy requires full entity not held");
     }
-    Headers content = entity_content_headers(meta);
-    content.add("Content-Length", std::to_string(total));
-    content.add("Content-Type", window.content_type);
-    return style(http::kOk, content, window.body);
+    return style(http::kOk, content(total, {}, window.content_type),
+                 window.body);
   };
+
+  if (range == nullptr) return full_200();
+  auto servable = http::resolve_all(*range, total);
+  if (servable.empty()) return respond_416(total);
+
+  // Keep only ranges the window can serve.
+  std::erase_if(servable, [&](const ResolvedRange& r) {
+    return r.first < win_first || r.last >= win_first + win_size;
+  });
+  if (servable.empty()) {
+    return error(http::kBadGateway, "no requested range within fetched window");
+  }
 
   if (servable.size() == 1) return single(servable.front());
 
@@ -1222,17 +1252,13 @@ Response CdnNode::respond_assembled(
     std::vector<std::pair<http::ResolvedRange, Body>> parts) {
   if (parts.empty()) return respond_416(total_size);
 
-  Headers validators;
-  if (!last_modified.empty()) validators.add("Last-Modified", last_modified);
-  if (!etag.empty()) validators.add("ETag", etag);
-
   if (parts.size() == 1) {
     auto& [r, payload] = parts.front();
-    Headers content = validators;
-    content.add("Content-Length", std::to_string(r.length()));
-    content.add("Content-Range", http::content_range(r, total_size));
-    content.add("Content-Type", content_type);
-    return style(http::kPartialContent, content, std::move(payload));
+    return style(http::kPartialContent,
+                 content_fields(last_modified, etag, r.length(),
+                                http::content_range(r, total_size),
+                                content_type),
+                 std::move(payload));
   }
   http::MultipartWriter writer(traits_.multipart_boundary, content_type,
                                total_size, traits_.multipart_part_extra_headers);
@@ -1244,50 +1270,44 @@ Response CdnNode::respond_assembled(
   for (const auto& [r, payload] : parts) {
     writer.add_part(r, payload, 0, payload.size());
   }
-  Headers content = validators;
-  content.add("Content-Length", std::to_string(size));
-  content.add("Content-Type",
-              http::multipart_content_type(traits_.multipart_boundary));
-  return style(http::kPartialContent, content, writer.finish());
+  return style(http::kPartialContent,
+               content_fields(last_modified, etag, size, {},
+                              http::multipart_content_type(
+                                  traits_.multipart_boundary)),
+               writer.finish());
 }
 
 Response CdnNode::relay(Response upstream) {
+  constexpr std::string_view kRelayed[] = {
+      "Last-Modified", "ETag",         "Content-Length",
+      "Content-Range", "Content-Type", "Transfer-Encoding"};
   Headers content;
-  for (const std::string_view name :
-       {"Last-Modified", "ETag", "Content-Length", "Content-Range",
-        "Content-Type", "Transfer-Encoding"}) {
+  content.reserve(std::size(kRelayed));
+  for (const std::string_view name : kRelayed) {
     if (const auto v = upstream.headers.get(name)) {
       content.add(std::string{name}, std::string{*v});
     }
   }
-  return style(upstream.status, content, std::move(upstream.body));
+  return style(upstream.status, std::move(content), std::move(upstream.body));
 }
 
 Response CdnNode::error(int status, std::string_view note) {
-  Headers content;
   Body body = Body::literal(std::string{note});
-  content.add("Content-Length", std::to_string(body.size()));
-  content.add("Content-Type", "text/plain");
-  return style(status, content, std::move(body));
+  const std::uint64_t length = body.size();
+  return style(status, content_fields({}, {}, length, {}, "text/plain"),
+               std::move(body));
 }
 
-Response CdnNode::style(int status, const Headers& content_headers,
-                        Body body) const {
-  Response response =
-      styled_response(traits_, status, content_headers, std::move(body));
-  // Real CDN trace ids (CF-Ray, X-Amz-Cf-Id, ...) differ per response.  Vary
-  // the pad header's prefix -- same length, so HTTP/1.1 byte counts (and the
-  // Table IV calibration) are untouched, but HPACK cannot fully index
-  // repeated responses the way it never could in production.
-  if (traits_.response_pad_bytes >= 16) {
-    char serial[17];
-    std::snprintf(serial, sizeof(serial), "%016llx",
-                  static_cast<unsigned long long>(++response_serial_));
-    std::string value(traits_.response_pad_bytes, 'x');
-    value.replace(0, 16, serial, 16);
-    response.headers.set(std::string{kPadHeaderName}, std::move(value));
-  }
-  return response;
+Response CdnNode::style(int status, Headers content_headers, Body body) const {
+  // Real CDN trace ids (CF-Ray, X-Amz-Cf-Id, ...) differ per response.  The
+  // serial at the head of the pad varies it the same way -- same length, so
+  // HTTP/1.1 byte counts (and the Table IV calibration) are untouched, but
+  // HPACK cannot fully index repeated responses the way it never could in
+  // production.
+  const std::uint64_t serial =
+      traits_.response_pad_bytes >= 16 ? ++response_serial_ : 0;
+  return styled_response(traits_, status, std::move(content_headers),
+                         std::move(body), serial);
 }
 
 std::size_t calibrate_response_pad(const VendorTraits& traits) {
@@ -1303,8 +1323,8 @@ std::size_t calibrate_response_pad(const VendorTraits& traits) {
   content.add("Content-Length", "1");
   content.add("Content-Range", "bytes 0-0/26214400");
   content.add("Content-Type", "application/octet-stream");
-  const Response canonical =
-      styled_response(probe, http::kPartialContent, content, Body::literal("x"));
+  const Response canonical = styled_response(
+      probe, http::kPartialContent, std::move(content), Body::literal("x"), 0);
   const std::uint64_t base = http::serialized_size(canonical);
   if (traits.client_response_target_bytes <= base) return 0;
   const std::uint64_t diff = traits.client_response_target_bytes - base;

@@ -226,8 +226,8 @@ class CdnNode final : public net::HttpHandler {
       const http::Response& upstream);
 
   /// Caches `entity` under this request's key (no-op when the profile has
-  /// caching disabled).
-  void store(const http::Request& request, const CachedEntity& entity);
+  /// caching disabled).  Callers done with the entity move it in.
+  void store(const http::Request& request, CachedEntity entity);
 
   /// Builds the client-facing response from a held full entity, honoring
   /// `range` according to the vendor's multi-range reply policy.
@@ -272,10 +272,23 @@ class CdnNode final : public net::HttpHandler {
                                        http::Method method_override) const;
   net::TransferOutcome upstream_transfer(const http::Request& upstream_request,
                                          const net::TransferOptions& options);
-  http::Response style(int status, const http::Headers& content_headers,
+  http::Response style(int status, http::Headers content_headers,
                        http::Body body) const;
   http::Response respond_416(std::uint64_t total_size);
-  http::Headers entity_content_headers(const CachedEntity& entity) const;
+  /// A representation window held by reference: `body` covers bytes
+  /// [offset, offset + body.size()) of `total` bytes.
+  struct WindowRef {
+    const http::Body& body;
+    std::uint64_t offset;
+    std::uint64_t total;
+    const std::string& content_type;
+    const std::string& etag;
+    const std::string& last_modified;
+  };
+  /// Serves `window` without copying it: the ranges of `*range` it holds,
+  /// under this vendor's multi-range reply policy, or the whole
+  /// representation as a 200 when `range` is null.
+  http::Response serve(const WindowRef& window, const http::RangeSet* range);
   double sim_now() const { return clock_ ? clock_() : 0.0; }
   /// RFC 8586 ingress check: 508 on self-recurrence or hop-cap excess,
   /// 400 on a malformed CDN-Loop; nullopt admits the request.

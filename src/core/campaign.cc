@@ -28,6 +28,16 @@ void add_shield_stats(cdn::ShieldStats& into, const cdn::ShieldStats& from) {
   into.shed_responses += from.shed_responses;
 }
 
+// Campaign blocks read counters only.  The origin's request log and the
+// nodes' upstream exchange logs would keep an entry per exchange that
+// nothing reads.
+void drop_unread_logs(origin::OriginServer& origin, cdn::EdgeCluster& cluster) {
+  origin.set_keep_log(false);
+  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+    cluster.node(i).upstream_traffic().set_keep_log(false);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SBR campaign: shard block runner + ordered reduction.
 //
@@ -70,6 +80,7 @@ SbrBlockResult run_sbr_block(const SbrCampaignConfig& config,
         return profile;
       },
       config.edge_nodes, origin, config.selection, config.transport);
+  drop_unread_logs(origin, cluster);
 
   // Campaign time: request i is sent at i/m seconds.  The nodes' shielding
   // layers (fill-lock windows, breaker open timers) key off this clock.
@@ -331,6 +342,7 @@ ObrBlockResult run_obr_block(const ObrCampaignConfig& config,
                                          config.resource_size);
   // The block reads only totals; per-exchange logs would keep two copies of
   // the ~32 KiB Range value per request.
+  bed.origin().set_keep_log(false);
   bed.client_traffic().set_keep_log(false);
   bed.fcdn_bcdn_traffic().set_keep_log(false);
   bed.bcdn_origin_traffic().set_keep_log(false);
@@ -471,6 +483,7 @@ LegitBlockResult run_legit_block(const LegitWorkloadConfig& config,
   cdn::EdgeCluster cluster(
       [&] { return cdn::make_profile(config.vendor); }, config.edge_nodes,
       origin, cdn::NodeSelection::kHashByHost, config.transport);
+  drop_unread_logs(origin, cluster);
 
   net::TrafficRecorder client_traffic("clients");
   client_traffic.set_keep_log(false);
@@ -636,6 +649,8 @@ PollutionBlockResult run_pollution_block(const CachePollutionConfig& config,
   profile.traits.cache = config.cache;
   cdn::CdnNode node(std::move(profile), origin);
   if (metrics) node.set_metrics(metrics);
+  origin.set_keep_log(false);
+  node.upstream_traffic().set_keep_log(false);
 
   net::TrafficRecorder attacker_traffic("attacker");
   attacker_traffic.set_keep_log(false);
@@ -883,6 +898,7 @@ GossipDetectionResult run_gossip_detection_campaign(
         return profile;
       },
       config.edge_nodes, origin);
+  drop_unread_logs(origin, cluster);
 
   double sim_now = 0;
   cluster.set_clock([&sim_now]() { return sim_now; });

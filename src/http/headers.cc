@@ -1,15 +1,22 @@
 #include "http/headers.h"
 
 #include <algorithm>
-#include <cctype>
+#include <iterator>
 
 namespace rangeamp::http {
+namespace {
+
+constexpr unsigned char ascii_lower(unsigned char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<unsigned char>(c + ('a' - 'A')) : c;
+}
+
+}  // namespace
 
 bool iequals(std::string_view a, std::string_view b) noexcept {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
+    if (ascii_lower(static_cast<unsigned char>(a[i])) !=
+        ascii_lower(static_cast<unsigned char>(b[i]))) {
       return false;
     }
   }
@@ -18,6 +25,12 @@ bool iequals(std::string_view a, std::string_view b) noexcept {
 
 void Headers::add(std::string name, std::string value) {
   fields_.push_back({std::move(name), std::move(value)});
+}
+
+void Headers::append(Headers&& other) {
+  fields_.insert(fields_.end(), std::make_move_iterator(other.fields_.begin()),
+                 std::make_move_iterator(other.fields_.end()));
+  other.fields_.clear();
 }
 
 void Headers::set(std::string name, std::string value) {

@@ -13,7 +13,8 @@
 
 namespace rangeamp::http {
 
-/// ASCII case-insensitive string equality (header field names).
+/// ASCII case-insensitive string equality (header field names).  Only
+/// `A`-`Z` fold, so the answer does not depend on the process locale.
 bool iequals(std::string_view a, std::string_view b) noexcept;
 
 /// A single header field, e.g. {"Content-Type", "image/jpeg"}.
@@ -35,6 +36,13 @@ class Headers {
 
   /// Appends a field, keeping any existing fields with the same name.
   void add(std::string name, std::string value);
+
+  /// Moves every field of `other` onto the end, in order.
+  void append(Headers&& other);
+
+  /// Reserves room for `fields` fields, so a builder that knows its final
+  /// field count sizes the list once.
+  void reserve(std::size_t fields) { fields_.reserve(fields); }
 
   /// Replaces the first field with this name (appends if absent) and removes
   /// any further duplicates.

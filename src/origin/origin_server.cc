@@ -11,7 +11,9 @@ using http::Body;
 using http::Request;
 using http::Response;
 
-void OriginServer::add_common_headers(Response& resp) const {
+void OriginServer::add_common_headers(Response& resp,
+                                      std::size_t own_fields) const {
+  resp.headers.reserve(2 + config_.extra_headers.size() + own_fields);
   resp.headers.add("Date", config_.date);
   resp.headers.add("Server", config_.server_banner);
   for (const auto& f : config_.extra_headers) resp.headers.add(f.name, f.value);
@@ -20,7 +22,7 @@ void OriginServer::add_common_headers(Response& resp) const {
 Response OriginServer::error_response(int status, std::string_view text) const {
   Response resp;
   resp.status = status;
-  add_common_headers(resp);
+  add_common_headers(resp, 3);
   resp.headers.add("Content-Type", "text/html; charset=iso-8859-1");
   resp.body = Body::literal(std::string{text});
   resp.headers.add("Content-Length", std::to_string(resp.body.size()));
@@ -31,7 +33,7 @@ Response OriginServer::error_response(int status, std::string_view text) const {
 Response OriginServer::respond_full(const Resource& res) const {
   Response resp;
   resp.status = http::kOk;
-  add_common_headers(resp);
+  add_common_headers(resp, 6);
   resp.headers.add("Last-Modified", res.last_modified);
   resp.headers.add("ETag", res.etag);
   if (config_.supports_ranges) resp.headers.add("Accept-Ranges", "bytes");
@@ -47,7 +49,7 @@ Response OriginServer::respond_single_range(const Resource& res,
                                             const http::ResolvedRange& range) const {
   Response resp;
   resp.status = http::kPartialContent;
-  add_common_headers(resp);
+  add_common_headers(resp, 7);
   resp.headers.add("Last-Modified", res.last_modified);
   resp.headers.add("ETag", res.etag);
   resp.headers.add("Accept-Ranges", "bytes");
@@ -63,7 +65,7 @@ Response OriginServer::respond_multipart(
     const Resource& res, const std::vector<http::ResolvedRange>& ranges) const {
   Response resp;
   resp.status = http::kPartialContent;
-  add_common_headers(resp);
+  add_common_headers(resp, 6);
   resp.headers.add("Last-Modified", res.last_modified);
   resp.headers.add("ETag", res.etag);
   resp.headers.add("Accept-Ranges", "bytes");
@@ -80,7 +82,7 @@ Response OriginServer::respond_multipart(
 Response OriginServer::respond_416(const Resource& res) const {
   Response resp;
   resp.status = http::kRangeNotSatisfiable;
-  add_common_headers(resp);
+  add_common_headers(resp, 4);
   resp.headers.add("Content-Range", http::content_range_unsatisfied(res.size()));
   resp.headers.add("Content-Length", "0");
   resp.headers.add("Content-Type", res.content_type);
@@ -89,7 +91,7 @@ Response OriginServer::respond_416(const Resource& res) const {
 }
 
 Response OriginServer::handle(const Request& request) {
-  log_.push_back(request);
+  if (keep_log_) log_.push_back(request);
 
   std::optional<net::FaultSpec> fault;
   if (config_.fault_injector) fault = config_.fault_injector->decide(request);
@@ -113,7 +115,7 @@ Response OriginServer::handle(const Request& request) {
   const auto not_modified_response = [&] {
     Response not_modified;
     not_modified.status = 304;
-    add_common_headers(not_modified);
+    add_common_headers(not_modified, 3);
     not_modified.headers.add("ETag", res->etag);
     not_modified.headers.add("Last-Modified", res->last_modified);
     not_modified.headers.add("Connection", "keep-alive");

@@ -14,8 +14,9 @@
 //     MaxRanges, default 200) fall back to a 200 full-entity response;
 //   * a fully unsatisfiable set yields 416 with Content-Range "bytes */size".
 //
-// The server keeps a request log so the policy scanner can diff what the
-// client sent against what actually arrived behind the CDN (experiment 1).
+// The server keeps a request log (unless switched off) so the policy scanner
+// can diff what the client sent against what actually arrived behind the CDN
+// (experiment 1).
 #pragma once
 
 #include <cstdint>
@@ -87,9 +88,14 @@ class OriginServer final : public net::HttpHandler {
 
   http::Response handle(const http::Request& request) override;
 
-  /// Every request observed, in arrival order (scanner input).
+  /// Every request observed while the log is on, in arrival order (scanner
+  /// input).
   const std::vector<http::Request>& request_log() const noexcept { return log_; }
   void clear_log() { log_.clear(); }
+
+  /// Enables/disables the request log (on by default).  The scanner and
+  /// tests read it; campaigns, which never do, switch it off.
+  void set_keep_log(bool keep) { keep_log_ = keep; }
 
  private:
   http::Response respond_full(const Resource& res) const;
@@ -99,10 +105,13 @@ class OriginServer final : public net::HttpHandler {
                                    const std::vector<http::ResolvedRange>& ranges) const;
   http::Response respond_416(const Resource& res) const;
   http::Response error_response(int status, std::string_view text) const;
-  void add_common_headers(http::Response& resp) const;
+  /// Adds Date, Server and the extra headers, sizing the header list for
+  /// them plus the `own_fields` the caller adds next.
+  void add_common_headers(http::Response& resp, std::size_t own_fields) const;
 
   OriginConfig config_;
   ResourceStore resources_;
+  bool keep_log_ = true;
   std::vector<http::Request> log_;
 };
 

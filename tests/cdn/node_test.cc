@@ -740,5 +740,50 @@ TEST(NodeQuarantine, PatternQuarantineCatchesRotatedClientKey) {
   EXPECT_EQ(keyed.send(attack_probe(3, "fresh-identity")).status, 206);
 }
 
+// ---------------------------------------------------------------------------
+// '#' at ingress: the node's own cache entries live under '#'-suffixed keys,
+// so a client that could spell one would alias them.
+// ---------------------------------------------------------------------------
+
+class FragmentIngressTest : public ::testing::Test {
+ protected:
+  FragmentIngressTest() : bed_(make_profile(Vendor::kAkamai)) {
+    bed_.origin().resources().add_synthetic("/b", 1000);
+    bed_.origin().resources().add_synthetic("/d", 1000);
+  }
+
+  std::uint64_t origin_fetches() { return bed_.origin_traffic().exchange_count(); }
+
+  core::SingleCdnTestbed bed_;
+};
+
+TEST_F(FragmentIngressTest, VarySuffixCannotPoisonTheUrl) {
+  const Response poison = bed_.send(http::make_get("site.example", "/b?x#vary"));
+  EXPECT_EQ(poison.status, 400);
+  EXPECT_EQ(origin_fetches(), 0u);
+  EXPECT_EQ(bed_.cdn().cache().size(), 0u);
+  // The URL caches normally: one fill, then hits.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(bed_.send(http::make_get("site.example", "/b?x")).status, 200);
+  }
+  EXPECT_EQ(origin_fetches(), 1u);
+  EXPECT_EQ(bed_.cdn().cache().hits(), 2u);
+}
+
+TEST_F(FragmentIngressTest, NegSuffixCannotForgeANegativeEntry) {
+  EXPECT_EQ(bed_.send(http::make_get("site.example", "/d?x#neg")).status, 400);
+  EXPECT_EQ(origin_fetches(), 0u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(bed_.send(http::make_get("site.example", "/d?x")).status, 200);
+  }
+  EXPECT_EQ(origin_fetches(), 1u);
+}
+
+TEST_F(FragmentIngressTest, HashInHostIsRejected) {
+  EXPECT_EQ(bed_.send(http::make_get("site.example#vary", "/b")).status, 400);
+  EXPECT_EQ(origin_fetches(), 0u);
+  EXPECT_EQ(bed_.send(http::make_get("site.example", "/b")).status, 200);
+}
+
 }  // namespace
 }  // namespace rangeamp::cdn

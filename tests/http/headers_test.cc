@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 namespace rangeamp::http {
 namespace {
 
@@ -12,6 +15,37 @@ TEST(IEquals, MatchesCaseInsensitively) {
   EXPECT_FALSE(iequals("Range", "Ranges"));
   EXPECT_FALSE(iequals("Range", "Rang"));
   EXPECT_FALSE(iequals("a", "b"));
+}
+
+// Differential check of the ASCII fold against the std::tolower form it
+// replaced, over every byte pair.  The program runs in the "C" locale (no
+// setlocale call), where std::tolower folds exactly A-Z.
+TEST(IEquals, MatchesTolowerOnEveryBytePair) {
+  int mismatches = 0;
+  for (int a = 0; a < 256; ++a) {
+    for (int b = 0; b < 256; ++b) {
+      const std::string x(1, static_cast<char>(a));
+      const std::string y(1, static_cast<char>(b));
+      const bool expected = std::tolower(a) == std::tolower(b);
+      if (iequals(x, y) != expected) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_TRUE(iequals("X-Edge-TRACE\xC4", "x-edge-trace\xC4"));
+  EXPECT_FALSE(iequals("\xC4", "\xE4"));  // Latin-1 case pairs do not fold
+}
+
+TEST(Headers, AppendMovesFieldsInOrder) {
+  Headers h{{"Date", "d"}};
+  Headers more{{"ETag", "\"e\""}, {"Content-Length", "1"}};
+  h.reserve(3);
+  h.append(std::move(more));
+  ASSERT_EQ(h.size(), 3u);
+  EXPECT_EQ(h.fields()[0].name, "Date");
+  EXPECT_EQ(h.fields()[1].name, "ETag");
+  EXPECT_EQ(h.fields()[1].value, "\"e\"");
+  EXPECT_EQ(h.fields()[2].name, "Content-Length");
+  EXPECT_TRUE(more.empty());  // NOLINT(bugprone-use-after-move)
 }
 
 TEST(Headers, AddKeepsDuplicatesAndOrder) {
