@@ -157,6 +157,11 @@ std::optional<SliceLogic::SliceResult> SliceLogic::fetch_slice(
   }
   auto window = window_from_206(upstream);
   if (!window || window->offset != index * slice_) return std::nullopt;
+  // A slice must carry every byte its Content-Range names.  A short one (a
+  // cut transfer, a lying upstream) is not cached: parts served from it
+  // would promise bytes they do not carry.
+  const auto cr = http::parse_content_range(upstream.headers.get_or("Content-Range", ""));
+  if (!cr || cr->range.length() != window->body.size()) return std::nullopt;
 
   CachedEntity slice_entity;
   slice_entity.entity = window->body;
@@ -259,7 +264,11 @@ Response SliceLogic::on_miss(CdnNode& node, const Request& request,
       const std::uint64_t slice_start = index * slice_;
       const std::uint64_t begin = std::max(r.first, slice_start);
       const std::uint64_t end =
-          std::min<std::uint64_t>(r.last, slice_start + it->second.size() - 1);
+          slice_start + std::min<std::uint64_t>(r.last - slice_start, slice_ - 1);
+      // Every part carries its whole range, or the answer is a 502.
+      if (end - slice_start >= it->second.size()) {
+        return node.error(http::kBadGateway, "slice fetch failed");
+      }
       payload.append_body(it->second.slice(begin - slice_start, end - begin + 1));
     }
     parts.emplace_back(r, std::move(payload));

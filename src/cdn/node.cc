@@ -1,6 +1,7 @@
 #include "cdn/node.h"
 
 #include <algorithm>
+#include <cassert>
 #include <charconv>
 #include <cstdio>
 
@@ -1185,19 +1186,14 @@ Response CdnNode::serve(const WindowRef& window, const RangeSet* range) {
                  window.body.slice(r.first - win_first, r.length()));
   };
   const auto multipart = [&](const std::vector<ResolvedRange>& ranges) {
-    http::MultipartWriter writer(traits_.multipart_boundary,
-                                 window.content_type, total,
-                                 traits_.multipart_part_extra_headers);
-    const std::uint64_t size = writer.size(ranges);
-    if (auto over = check_assembly_budget(size)) return std::move(*over);
-    writer.reserve(ranges.size());
-    for (const auto& r : ranges) {
-      writer.add_part(r, window.body, r.first - win_first, r.length());
-    }
-    return style(http::kPartialContent,
-                 content(size, {},
-                         http::multipart_content_type(traits_.multipart_boundary)),
-                 writer.finish());
+    std::vector<http::RunPart> parts;
+    parts.reserve(ranges.size());
+    for (const auto& r : ranges) parts.push_back({r, r.first - win_first});
+    return respond_multipart(
+        http::MultipartWriter(traits_.multipart_boundary, window.content_type,
+                              total, traits_.multipart_part_extra_headers)
+            .frame(window.body, std::move(parts)),
+        window.last_modified, window.etag);
   };
   const auto full_200 = [&]() -> Response {
     if (win_first != 0 || win_size != total) {
@@ -1260,21 +1256,32 @@ Response CdnNode::respond_assembled(
                                 content_type),
                  std::move(payload));
   }
-  http::MultipartWriter writer(traits_.multipart_boundary, content_type,
-                               total_size, traits_.multipart_part_extra_headers);
-  std::uint64_t size = writer.closing_size();
+  Body source;
+  std::vector<http::RunPart> run_parts;
+  run_parts.reserve(parts.size());
+  std::uint64_t offset = 0;
   for (const auto& [r, payload] : parts) {
-    size += writer.part_framing_size(r) + payload.size();
+    assert(payload.size() == r.length());
+    run_parts.push_back({r, offset});
+    offset += r.length();
+    source.append_body(payload);
   }
+  return respond_multipart(
+      http::MultipartWriter(traits_.multipart_boundary, content_type, total_size,
+                            traits_.multipart_part_extra_headers)
+          .frame(std::move(source), std::move(run_parts)),
+      last_modified, etag);
+}
+
+Response CdnNode::respond_multipart(Body body, const std::string& last_modified,
+                                    const std::string& etag) {
+  const std::uint64_t size = body.size();  // one run chunk: O(1)
   if (auto over = check_assembly_budget(size)) return std::move(*over);
-  for (const auto& [r, payload] : parts) {
-    writer.add_part(r, payload, 0, payload.size());
-  }
   return style(http::kPartialContent,
                content_fields(last_modified, etag, size, {},
                               http::multipart_content_type(
                                   traits_.multipart_boundary)),
-               writer.finish());
+               std::move(body));
 }
 
 Response CdnNode::relay(Response upstream) {

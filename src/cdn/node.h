@@ -244,7 +244,8 @@ class CdnNode final : public net::HttpHandler {
   /// already applied its reply policy): one part -> plain 206 with
   /// Content-Range, several -> multipart/byteranges with this vendor's
   /// boundary.  Used by logics that gather payload non-contiguously
-  /// (SliceLogic's gap-free fetching).
+  /// (SliceLogic's gap-free fetching).  Each payload carries exactly its
+  /// range's r.length() bytes.
   http::Response respond_assembled(
       std::uint64_t total_size, const std::string& content_type,
       const std::string& etag, const std::string& last_modified,
@@ -335,9 +336,15 @@ class CdnNode final : public net::HttpHandler {
                          const std::optional<http::RangeSet>& range,
                          obs::SpanScope& span);
   /// Client-facing multipart assembly budget (respond_window /
-  /// respond_assembled), checked against the exact body size before any
-  /// part is assembled: nullopt admits the body, otherwise the 502 to serve.
+  /// respond_assembled), checked against the exact body size before a byte
+  /// of it is generated: nullopt admits the body, otherwise the 502 to serve.
   std::optional<http::Response> check_assembly_budget(std::uint64_t body_bytes);
+  /// The 206 carrying a framed multipart `body` (one run chunk), or the
+  /// budget's 502: the budget check and Content-Length read the one size
+  /// the run summed when it was built.
+  http::Response respond_multipart(http::Body body,
+                                   const std::string& last_modified,
+                                   const std::string& etag);
   void count_violation(http::ValidationCheck check, std::string_view action);
 
   VendorTraits traits_;

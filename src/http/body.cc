@@ -3,15 +3,50 @@
 #include <algorithm>
 #include <cassert>
 
+#include "http/multipart.h"
+
 namespace rangeamp::http {
 namespace {
 
-std::uint64_t chunk_size(const BodyChunk& c) noexcept {
-  if (const auto* s = std::get_if<std::string>(&c)) return s->size();
-  return std::get<SyntheticSpan>(c).length;
+// `chunk` cut down to bytes [first, first+length).
+BodyChunk sub_chunk(const BodyChunk& chunk, std::uint64_t first,
+                    std::uint64_t length) {
+  if (const auto* s = std::get_if<std::string>(&chunk)) {
+    return s->substr(static_cast<std::size_t>(first),
+                     static_cast<std::size_t>(length));
+  }
+  if (const auto* span = std::get_if<SyntheticSpan>(&chunk)) {
+    return SyntheticSpan{span->seed, span->offset + first, length};
+  }
+  const auto& window = std::get<RunSpan>(chunk);
+  return RunSpan{window.run, window.first + first, length};
 }
 
 }  // namespace
+
+std::uint64_t chunk_size(const BodyChunk& chunk) noexcept {
+  if (const auto* s = std::get_if<std::string>(&chunk)) return s->size();
+  if (const auto* span = std::get_if<SyntheticSpan>(&chunk)) return span->length;
+  return std::get<RunSpan>(chunk).length;
+}
+
+void write_chunk(std::string& out, const BodyChunk& chunk, std::uint64_t first,
+                 std::uint64_t length) {
+  assert(first + length <= chunk_size(chunk));
+  if (const auto* s = std::get_if<std::string>(&chunk)) {
+    out.append(*s, static_cast<std::size_t>(first),
+               static_cast<std::size_t>(length));
+  } else if (const auto* span = std::get_if<SyntheticSpan>(&chunk)) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(length));
+    for (std::uint64_t i = 0; i < length; ++i) {
+      out[at + i] = static_cast<char>(synthetic_byte(span->seed, span->offset + first + i));
+    }
+  } else {
+    const auto& window = std::get<RunSpan>(chunk);
+    window.run->write_to(out, window.first + first, length);
+  }
+}
 
 std::uint8_t synthetic_byte(std::uint64_t seed, std::uint64_t offset) noexcept {
   // splitmix64-style mix of (seed, offset): cheap, well distributed, and
@@ -38,22 +73,26 @@ Body Body::synthetic(std::uint64_t seed, std::uint64_t offset, std::uint64_t len
 }
 
 void Body::append(BodyChunk chunk) {
-  if (auto* s = std::get_if<std::string>(&chunk)) {
-    if (s->empty()) return;
-    if (!chunks_.empty()) {
-      if (auto* prev = std::get_if<std::string>(&chunks_.back())) {
-        prev->append(*s);
+  if (chunk_size(chunk) == 0) return;
+  if (!chunks_.empty()) {
+    BodyChunk& prev = chunks_.back();
+    if (auto* s = std::get_if<std::string>(&chunk)) {
+      if (auto* p = std::get_if<std::string>(&prev)) {
+        p->append(*s);
         return;
       }
-    }
-  } else if (auto* span = std::get_if<SyntheticSpan>(&chunk)) {
-    if (span->length == 0) return;
-    if (!chunks_.empty()) {
-      if (auto* prev = std::get_if<SyntheticSpan>(&chunks_.back())) {
-        if (prev->seed == span->seed && prev->offset + prev->length == span->offset) {
-          prev->length += span->length;
-          return;
-        }
+    } else if (auto* span = std::get_if<SyntheticSpan>(&chunk)) {
+      auto* p = std::get_if<SyntheticSpan>(&prev);
+      if (p && p->seed == span->seed && p->offset + p->length == span->offset) {
+        p->length += span->length;
+        return;
+      }
+    } else {
+      const auto& window = std::get<RunSpan>(chunk);
+      auto* p = std::get_if<RunSpan>(&prev);
+      if (p && p->run == window.run && p->first + p->length == window.first) {
+        p->length += window.length;
+        return;
       }
     }
   }
@@ -81,12 +120,7 @@ void Body::append_slice(const Body& src, std::uint64_t first,
       continue;
     }
     const std::uint64_t take = std::min(chunk_len - first, length);
-    if (const auto* s = std::get_if<std::string>(&c)) {
-      append_literal(std::string_view{*s}.substr(first, take));
-    } else {
-      const auto& span = std::get<SyntheticSpan>(c);
-      append_synthetic(span.seed, span.offset + first, take);
-    }
+    append(sub_chunk(c, first, take));
     first = 0;
     length -= take;
   }
@@ -105,55 +139,56 @@ Body Body::slice(std::uint64_t first, std::uint64_t length) const {
 }
 
 void Body::truncate(std::uint64_t max_bytes) {
-  if (size() <= max_bytes) return;
-  *this = slice(0, max_bytes);
+  auto it = chunks_.begin();
+  for (; it != chunks_.end() && chunk_size(*it) <= max_bytes; ++it) {
+    max_bytes -= chunk_size(*it);
+  }
+  if (it == chunks_.end()) return;
+  if (max_bytes > 0) {  // the cut falls inside this chunk
+    *it = sub_chunk(*it, 0, max_bytes);
+    ++it;
+  }
+  chunks_.erase(it, chunks_.end());
+}
+
+void Body::write_to(std::string& out, std::uint64_t first,
+                    std::uint64_t length) const {
+  assert(first + length <= size());
+  for (const auto& c : chunks_) {
+    if (length == 0) break;
+    const std::uint64_t chunk_len = chunk_size(c);
+    if (first >= chunk_len) {
+      first -= chunk_len;
+      continue;
+    }
+    const std::uint64_t take = std::min(chunk_len - first, length);
+    write_chunk(out, c, first, take);
+    first = 0;
+    length -= take;
+  }
 }
 
 std::string Body::materialize() const {
+  const std::uint64_t n = size();
   std::string out;
-  out.reserve(static_cast<std::size_t>(size()));
-  for (const auto& c : chunks_) {
-    if (const auto* s = std::get_if<std::string>(&c)) {
-      out.append(*s);
-    } else {
-      const auto& span = std::get<SyntheticSpan>(c);
-      for (std::uint64_t i = 0; i < span.length; ++i) {
-        out.push_back(static_cast<char>(synthetic_byte(span.seed, span.offset + i)));
-      }
-    }
-  }
+  out.reserve(static_cast<std::size_t>(n));
+  write_to(out, 0, n);
   return out;
 }
 
 std::uint8_t Body::at(std::uint64_t pos) const {
   assert(pos < size());
-  std::uint64_t chunk_start = 0;
-  for (const auto& c : chunks_) {
-    const std::uint64_t chunk_len = chunk_size(c);
-    if (pos < chunk_start + chunk_len) {
-      const std::uint64_t off = pos - chunk_start;
-      if (const auto* s = std::get_if<std::string>(&c)) {
-        return static_cast<std::uint8_t>((*s)[static_cast<std::size_t>(off)]);
-      }
-      const auto& span = std::get<SyntheticSpan>(c);
-      return synthetic_byte(span.seed, span.offset + off);
-    }
-    chunk_start += chunk_len;
-  }
-  assert(false && "position out of range");
-  return 0;
+  std::string byte;  // one byte: no allocation
+  write_to(byte, pos, 1);
+  return static_cast<std::uint8_t>(byte[0]);
 }
 
 bool Body::operator==(const Body& other) const {
-  const std::uint64_t n = size();
-  if (n != other.size()) return false;
+  if (size() != other.size()) return false;
   // Chunk layouts may differ; compare logical bytes.  Fast path: identical
-  // chunk vectors.
-  if (chunks_ == other.chunks_) return true;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (at(i) != other.at(i)) return false;
-  }
-  return true;
+  // chunk vectors.  The fallback writes both bodies: a run generates its
+  // bytes in one pass, where at() would pay a search per byte.
+  return chunks_ == other.chunks_ || materialize() == other.materialize();
 }
 
 }  // namespace rangeamp::http

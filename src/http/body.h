@@ -3,11 +3,22 @@
 // The experiments in the paper move resources of up to 25 MB through several
 // network segments thousands of times.  The metric is always *bytes on the
 // wire*, so materializing those payloads would be pure waste.  A Body is a
-// sequence of chunks; a chunk is either a literal string (multipart framing,
-// small test payloads) or a *synthetic span*: a (resource seed, offset,
-// length) triple whose bytes are produced by a deterministic function on
-// demand.  Sizes -- the quantity every experiment measures -- never touch a
-// payload byte: size() sums chunk lengths, O(number of chunks).
+// sequence of chunks of three kinds:
+//
+//   * a literal string (error notes, small test payloads, bytes read off a
+//     socket);
+//   * a *synthetic span*: a (resource seed, offset, length) triple whose
+//     bytes are produced by a deterministic function on demand;
+//   * a *run span*: a window onto an immutable, shared multipart run
+//     (http/multipart.h).  A whole n-part multipart/byteranges answer is one
+//     such chunk; its heads and payloads are generated only when something
+//     writes its bytes.
+//
+// Sizes -- the quantity every experiment measures -- never touch a payload
+// byte: size() sums chunk lengths, O(number of chunks).  Copying, slicing and
+// truncating a run span copy a shared_ptr and move its window, so an n-part
+// answer crosses every hop in O(1).  A window keeps its whole run (the head
+// text, the part list and the source body) alive.
 //
 // Synthetic bytes are deterministic in (seed, absolute offset), so a slice of
 // a synthetic body equals the corresponding substring of the materialized
@@ -15,12 +26,15 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <variant>
 #include <vector>
 
 namespace rangeamp::http {
+
+class MultipartRun;
 
 /// The deterministic content byte of synthetic resource `seed` at `offset`.
 std::uint8_t synthetic_byte(std::uint64_t seed, std::uint64_t offset) noexcept;
@@ -34,8 +48,26 @@ struct SyntheticSpan {
   bool operator==(const SyntheticSpan&) const = default;
 };
 
-/// A body chunk: literal bytes or a synthetic span.
-using BodyChunk = std::variant<std::string, SyntheticSpan>;
+/// The bytes [first, first+length) of a multipart run.
+struct RunSpan {
+  std::shared_ptr<const MultipartRun> run;
+  std::uint64_t first = 0;
+  std::uint64_t length = 0;
+
+  bool operator==(const RunSpan&) const = default;
+};
+
+/// A body chunk: literal bytes, a synthetic span or a run window.
+using BodyChunk = std::variant<std::string, SyntheticSpan, RunSpan>;
+static_assert(sizeof(BodyChunk) == 40, "a body chunk stays five words");
+
+/// Bytes in one chunk.
+std::uint64_t chunk_size(const BodyChunk& chunk) noexcept;
+
+/// Appends bytes [first, first+length) of `chunk` to `out`.
+/// Requires first + length <= chunk_size(chunk).
+void write_chunk(std::string& out, const BodyChunk& chunk, std::uint64_t first,
+                 std::uint64_t length);
 
 /// A message body as an ordered chunk list.
 class Body {
@@ -49,7 +81,9 @@ class Body {
   /// absolute offset `offset` within the resource.
   static Body synthetic(std::uint64_t seed, std::uint64_t offset, std::uint64_t length);
 
-  /// Appends a chunk (merging adjacent compatible chunks when possible).
+  /// Appends a chunk, merging it into the last one when it continues it: a
+  /// literal after a literal, the next span of the same synthetic stream, or
+  /// the next window of the same run.
   void append(BodyChunk chunk);
   void append_literal(std::string_view bytes);
   void append_synthetic(std::uint64_t seed, std::uint64_t offset, std::uint64_t length);
@@ -59,10 +93,6 @@ class Body {
   /// append_body(src.slice(first, length)) appends, without the temporary.
   /// Requires first + length <= src.size() and &src != this.
   void append_slice(const Body& src, std::uint64_t first, std::uint64_t length);
-
-  /// Reserves room for `chunks` chunks, so a body assembled part by part
-  /// does not regrow (and recopy) its chunk list.
-  void reserve(std::size_t chunks) { chunks_.reserve(chunks); }
 
   /// Total size in bytes. O(number of chunks).
   std::uint64_t size() const noexcept;
@@ -78,6 +108,10 @@ class Body {
   /// 8 MB of payload have arrived).
   void truncate(std::uint64_t max_bytes);
 
+  /// Appends the bytes at positions [first, first+length) to `out`.
+  /// Requires first + length <= size().
+  void write_to(std::string& out, std::uint64_t first, std::uint64_t length) const;
+
   /// Materializes the full byte string.  Intended for tests and small bodies;
   /// asserts nothing but obviously costs O(size()).
   std::string materialize() const;
@@ -92,5 +126,6 @@ class Body {
  private:
   std::vector<BodyChunk> chunks_;
 };
+static_assert(sizeof(Body) == 24, "a body stays one vector");
 
 }  // namespace rangeamp::http

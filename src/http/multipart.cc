@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <charconv>
+#include <iterator>
+#include <memory>
 
 #include "http/headers.h"
 
@@ -38,6 +40,20 @@ bool valid_boundary(std::string_view b) noexcept {
 
 }  // namespace
 
+// A body of two parts over a 1000-byte resource:
+//
+//   --BOUNDARY\r\n
+//   Content-Type: image/jpeg\r\n
+//   Content-Range: bytes 1-1/1000\r\n
+//   \r\n
+//   <payload bytes>\r\n
+//   --BOUNDARY\r\n
+//   ...
+//   --BOUNDARY--\r\n
+//
+// The CRLF that ends a payload is written at the front of the next head (or
+// of the closing line), so every head is head_prefix_, the two positions and
+// head_suffix_.
 MultipartWriter::MultipartWriter(std::string_view boundary,
                                  std::string_view content_type,
                                  std::uint64_t resource_size,
@@ -52,42 +68,113 @@ MultipartWriter::MultipartWriter(std::string_view boundary,
   closing_.append("\r\n--").append(boundary).append("--\r\n");
 }
 
-std::uint64_t MultipartWriter::part_framing_size(
-    const ResolvedRange& r) const noexcept {
-  // The leading CRLF of head_prefix_ belongs to the previous payload; this
-  // part's own CRLF is counted instead, so the two cancel.
+std::uint64_t MultipartWriter::head_size(const ResolvedRange& r) const noexcept {
   return head_prefix_.size() + decimal_digits(r.first) + 1 +
          decimal_digits(r.last) + head_suffix_.size();
 }
 
 std::uint64_t MultipartWriter::size(
     const std::vector<ResolvedRange>& ranges) const noexcept {
-  std::uint64_t total = closing_size();
-  for (const auto& r : ranges) total += part_framing_size(r) + r.length();
+  // The body drops the first head's CRLF, or the closing line's when there
+  // is no part.
+  std::uint64_t total = closing_.size() - 2;
+  for (const auto& r : ranges) total += head_size(r) + r.length();
   return total;
 }
 
-void MultipartWriter::add_part(const ResolvedRange& r, const Body& src,
-                               std::uint64_t first, std::uint64_t length) {
-  const std::string_view prefix =
-      std::string_view{head_prefix_}.substr(parts_ == 0 ? 2 : 0);
-  std::string head(prefix.size() + decimal_digits(r.first) + 1 +
-                       decimal_digits(r.last) + head_suffix_.size(),
-                   '\0');
-  char* out = std::copy(prefix.begin(), prefix.end(), head.data());
-  char* const end = head.data() + head.size();
-  out = std::to_chars(out, end, r.first).ptr;
-  *out++ = '-';
-  out = std::to_chars(out, end, r.last).ptr;
-  std::copy(head_suffix_.begin(), head_suffix_.end(), out);
-  body_.append(std::move(head));
-  body_.append_slice(src, first, length);
-  ++parts_;
+Body MultipartWriter::frame(Body source, std::vector<RunPart> parts) && {
+  auto run = std::make_shared<const MultipartRun>(std::move(*this), std::move(source),
+                                                  std::move(parts));
+  const std::uint64_t size = run->size();
+  Body body;
+  body.append(RunSpan{std::move(run), 0, size});
+  return body;
 }
 
-Body MultipartWriter::finish() {
-  body_.append_literal(std::string_view{closing_}.substr(parts_ == 0 ? 2 : 0));
-  return std::move(body_);
+MultipartRun::MultipartRun(MultipartWriter framing, Body source,
+                           std::vector<RunPart> parts)
+    : framing_(std::move(framing)),
+      source_(std::move(source)),
+      parts_(std::move(parts)) {
+  [[maybe_unused]] const std::uint64_t source_size = source_.size();
+  starts_.reserve(parts_.size());
+  std::uint64_t pos = 0;
+  for (const auto& p : parts_) {
+    assert(p.offset <= source_size && p.range.length() <= source_size - p.offset);
+    starts_.push_back(pos);
+    pos += framing_.head_size(p.range) + p.range.length();
+  }
+  size_ = pos + framing_.closing_.size() - 2;
+}
+
+void MultipartRun::write_to(std::string& out, std::uint64_t first,
+                            std::uint64_t length) const {
+  assert(first <= size_ && length <= size_ - first);
+  // Positions below count the leading CRLF the body drops (see starts_).
+  const std::uint64_t begin = first + 2;
+  const std::uint64_t end = begin + length;
+  std::uint64_t pos = 0;  // where the next piece starts
+  // Appends the part of `piece` that falls inside [begin, end).
+  const auto emit = [&](std::string_view piece) {
+    const std::uint64_t piece_end = pos + piece.size();
+    if (pos < end && piece_end > begin) {
+      const std::uint64_t from = std::max(pos, begin);
+      const std::uint64_t to = std::min(piece_end, end);
+      out.append(piece.substr(from - pos, to - from));
+    }
+    pos = piece_end;
+  };
+  // Payloads read the source through a cursor: the chunk holding the next
+  // byte and where that chunk starts.  Parts usually move forward through
+  // the source, so a part costs O(1) chunk steps.
+  const std::vector<BodyChunk>& chunks = source_.chunks();
+  std::size_t chunk = 0;
+  std::uint64_t chunk_start = 0;
+  const auto emit_payload = [&](std::uint64_t offset, std::uint64_t payload) {
+    const std::uint64_t start = pos;
+    pos += payload;
+    const std::uint64_t from = std::max(start, begin);
+    const std::uint64_t to = std::min(pos, end);
+    if (from >= to) return;
+    std::uint64_t at = offset + (from - start);
+    std::uint64_t left = to - from;
+    if (at < chunk_start) {
+      chunk = 0;
+      chunk_start = 0;
+    }
+    while (left > 0) {
+      const std::uint64_t chunk_len = chunk_size(chunks[chunk]);
+      if (at >= chunk_start + chunk_len) {
+        chunk_start += chunk_len;
+        ++chunk;
+        continue;
+      }
+      const std::uint64_t take = std::min(chunk_start + chunk_len - at, left);
+      write_chunk(out, chunks[chunk], at - chunk_start, take);
+      at += take;
+      left -= take;
+    }
+  };
+
+  // Start at the last part whose head begins at or before `begin`.
+  std::size_t i = static_cast<std::size_t>(
+      std::upper_bound(starts_.begin(), starts_.end(), begin) - starts_.begin());
+  if (i > 0) pos = starts_[--i];
+  char digits[20];  // a 64-bit position has at most 20
+  const auto emit_number = [&](std::uint64_t v) {
+    const char* last = std::to_chars(digits, std::end(digits), v).ptr;
+    emit({digits, static_cast<std::size_t>(last - digits)});
+  };
+  for (; i < parts_.size() && pos < end; ++i) {
+    const ResolvedRange& r = parts_[i].range;
+    emit(framing_.head_prefix_);
+    emit_number(r.first);
+    emit("-");
+    emit_number(r.last);
+    emit(framing_.head_suffix_);
+    emit_payload(parts_[i].offset, r.length());
+  }
+  if (pos < end) emit(framing_.closing_);
 }
 
 Body build_multipart_byteranges(const Body& entity,
@@ -96,10 +183,11 @@ Body build_multipart_byteranges(const Body& entity,
                                 std::string_view content_type,
                                 std::string_view boundary) {
   assert(entity.size() == resource_size);
-  MultipartWriter writer(boundary, content_type, resource_size);
-  writer.reserve(ranges.size());
-  for (const auto& r : ranges) writer.add_part(r, entity, r.first, r.length());
-  return writer.finish();
+  std::vector<RunPart> parts;
+  parts.reserve(ranges.size());
+  for (const auto& r : ranges) parts.push_back({r, r.first});
+  return MultipartWriter(boundary, content_type, resource_size)
+      .frame(entity, std::move(parts));
 }
 
 std::uint64_t multipart_byteranges_size(const std::vector<ResolvedRange>& ranges,

@@ -1,19 +1,12 @@
 // multipart/byteranges framing (RFC 7233 appendix A).
 //
-// A multi-part 206 body looks like:
-//
-//   --BOUNDARY\r\n
-//   Content-Type: image/jpeg\r\n
-//   Content-Range: bytes 1-1/1000\r\n
-//   \r\n
-//   <payload bytes>\r\n
-//   --BOUNDARY\r\n
-//   ...
-//   --BOUNDARY--\r\n
-//
-// The per-part framing overhead (~100-160 bytes depending on the boundary
-// string and the Content-Range digits) is why the OBR attack's measured
-// amplification in Table V exceeds n * resource_size by a few percent.
+// A multi-part 206 body is a delimiter line per part, the part's header
+// fields (Content-Type and Content-Range, plus any vendor extras), a blank
+// line and the payload, then a closing delimiter; multipart.cc shows the
+// exact bytes.  The per-part framing overhead (~100-160 bytes depending on
+// the boundary string and the Content-Range digits) is why the OBR attack's
+// measured amplification in Table V exceeds n * resource_size by a few
+// percent.
 #pragma once
 
 #include <cstddef>
@@ -38,53 +31,75 @@ struct BytesRangePart {
   Body payload;
 };
 
-/// Writes one multipart/byteranges body; every producer in the tree (the
-/// origin models and the CDN nodes) frames its parts through it, so there is
-/// one framing implementation.  The text all part heads share -- delimiter,
-/// the vendor's extra per-part fields, the Content-Type line,
-/// "Content-Range: bytes " and "/size" CRLF CRLF -- is formatted once, in the
-/// constructor.  Each part head is then one exact-size string whose three
-/// numbers are written by std::to_chars, and sizes are digit-count
-/// arithmetic that formats nothing.
-///
-/// The CRLF that ends a payload is written at the front of the next part head
-/// (or of the closing delimiter), so a part over a synthetic payload costs one
-/// literal chunk and one span.
+/// One part of a multipart run: the range it answers, and the position in
+/// the run's source body of the first of its range.length() payload bytes.
+struct RunPart {
+  ResolvedRange range;
+  std::uint64_t offset = 0;
+};
+
+/// Writes multipart/byteranges bodies; every producer in the tree (the origin
+/// models and the CDN nodes) frames its parts through it, so there is one
+/// framing implementation.  The text all part heads share -- delimiter, the
+/// vendor's extra per-part fields, the Content-Type line, the Content-Range
+/// field name and unit, and "/size" CRLF CRLF -- is formatted once, in the
+/// constructor; a part head adds only its two positions, and sizes are
+/// digit-count arithmetic that formats nothing.
 class MultipartWriter {
  public:
   MultipartWriter(std::string_view boundary, std::string_view content_type,
                   std::uint64_t resource_size,
                   std::span<const HeaderField> extra_headers = {});
 
-  /// Framing bytes part `r` adds around its payload: its head plus the CRLF
-  /// after the payload.
-  std::uint64_t part_framing_size(const ResolvedRange& r) const noexcept;
-
-  /// Bytes of the closing delimiter line.
-  std::uint64_t closing_size() const noexcept { return closing_.size() - 2; }
-
   /// Exact size of the body whose parts are `ranges`, each carrying
   /// r.length() payload bytes.
   std::uint64_t size(const std::vector<ResolvedRange>& ranges) const noexcept;
 
-  /// Reserves room for `parts` parts.
-  void reserve(std::size_t parts) { body_.reserve(2 * parts + 1); }
-
-  /// Appends part `r`: its head, then the `length` bytes of `src` at
-  /// [first, first+length).
-  void add_part(const ResolvedRange& r, const Body& src, std::uint64_t first,
-                std::uint64_t length);
-
-  /// Appends the closing delimiter and hands over the body; the writer is
-  /// spent afterwards.
-  Body finish();
+  /// The body framing `parts` over `source`: one run chunk, whatever the
+  /// number of parts (see MultipartRun).  Requires every part's payload to
+  /// lie inside `source`.  The writer's head text moves into the run.
+  Body frame(Body source, std::vector<RunPart> parts) &&;
 
  private:
-  std::string head_prefix_;  ///< CRLF "--" boundary ... "Content-Range: bytes "
+  friend class MultipartRun;
+
+  /// Bytes of part `r`'s head, counted with its leading CRLF (which ends the
+  /// previous payload).
+  std::uint64_t head_size(const ResolvedRange& r) const noexcept;
+
+  std::string head_prefix_;  ///< CRLF, delimiter, fields, Content-Range unit
   std::string head_suffix_;  ///< "/" size CRLF CRLF
   std::string closing_;      ///< CRLF "--" boundary "--" CRLF
-  std::size_t parts_ = 0;
-  Body body_;
+};
+
+/// An immutable multipart/byteranges body: the writer's head text, the
+/// source body and the part list.  Its size is summed once, in the
+/// constructor; its bytes exist only while write_to() generates them.  Body
+/// holds it through RunSpan windows, so slicing, truncating and relaying an
+/// n-part answer never touches its parts.
+///
+/// The bytes are the parts in order -- each head, then its payload -- and
+/// the closing delimiter.  Every head and the closing line start with the
+/// CRLF that ends the previous payload; the first head has none, and a run
+/// without parts is only "--BOUNDARY--" CRLF.
+class MultipartRun {
+ public:
+  MultipartRun(MultipartWriter framing, Body source, std::vector<RunPart> parts);
+
+  std::uint64_t size() const noexcept { return size_; }
+
+  /// Appends bytes [first, first+length) to `out`, in one pass over the
+  /// parts the window touches.  Requires first + length <= size().
+  void write_to(std::string& out, std::uint64_t first, std::uint64_t length) const;
+
+ private:
+  MultipartWriter framing_;
+  Body source_;
+  std::vector<RunPart> parts_;
+  /// Where each part's head starts, counted as if the body began with a
+  /// CRLF like every other head: the body is that text from position 2 on.
+  std::vector<std::uint64_t> starts_;
+  std::uint64_t size_ = 0;
 };
 
 /// Builds the multipart body for the given resolved ranges over `entity`

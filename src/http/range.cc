@@ -153,22 +153,20 @@ std::vector<ResolvedRange> resolve_all(const RangeSet& set,
 }
 
 bool any_overlap(const std::vector<ResolvedRange>& ranges) {
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    for (std::size_t j = i + 1; j < ranges.size(); ++j) {
-      if (ranges[i].overlaps(ranges[j])) return true;
-    }
+  // Sorted by first, a range overlaps an earlier one exactly when it starts
+  // at or before the largest last seen so far.
+  if (ranges.size() < 2) return false;
+  std::vector<ResolvedRange> sorted = ranges;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const ResolvedRange& a, const ResolvedRange& b) {
+              return a.first < b.first;
+            });
+  std::uint64_t max_last = sorted.front().last;
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i].first <= max_last) return true;
+    max_last = std::max(max_last, sorted[i].last);
   }
   return false;
-}
-
-std::size_t overlapping_pair_count(const std::vector<ResolvedRange>& ranges) {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    for (std::size_t j = i + 1; j < ranges.size(); ++j) {
-      if (ranges[i].overlaps(ranges[j])) ++n;
-    }
-  }
-  return n;
 }
 
 bool is_ascending_disjoint(const std::vector<ResolvedRange>& ranges) {

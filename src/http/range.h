@@ -110,12 +110,8 @@ std::optional<ResolvedRange> resolve(const ByteRangeSpec& spec,
 std::vector<ResolvedRange> resolve_all(const RangeSet& set,
                                        std::uint64_t resource_size);
 
-/// True when any two resolved ranges overlap.
+/// True when any two resolved ranges overlap.  O(n log n): it sorts a copy.
 bool any_overlap(const std::vector<ResolvedRange>& ranges);
-
-/// Number of overlapping pairs among the resolved ranges (RFC 7233 section
-/// 6.1 recommends special treatment for "more than two overlapping ranges").
-std::size_t overlapping_pair_count(const std::vector<ResolvedRange>& ranges);
 
 /// True when the ranges are in strictly ascending, non-touching order --
 /// i.e. the shape a legitimate multi-threaded downloader produces.

@@ -68,11 +68,11 @@ namespace {
 constexpr int kRounds = 16;
 
 // Budgets, at most 10% above the counts the code makes today (32, 29, 8 and
-// 1115 with GCC 12 and libstdc++).  A cut to a count should cut its bound.
+// 86 with GCC 12 and libstdc++).  A cut to a count should cut its bound.
 constexpr std::uint64_t kSbrMissBound = 35;
 constexpr std::uint64_t kPollutionMissBound = 31;
 constexpr std::uint64_t kPollutionHitBound = 8;
-constexpr std::uint64_t kObrBound = 1226;
+constexpr std::uint64_t kObrBound = 94;
 
 // The fewest allocations `send` makes over kRounds exchanges, each on a
 // request `make(i)` built before the count starts.

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "cdn/profiles.h"
 #include "http/generator.h"
 
 namespace rangeamp::http {
@@ -224,6 +229,177 @@ TEST(MultipartWriter, SizeMatchesBuiltBodyOnSeededShapes) {
       EXPECT_EQ(parsed->back().range, ranges.back());
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Run bodies: a writer-built body is one run chunk whose windows must read
+// exactly the bytes of the text a part-by-part writer would produce.
+// ---------------------------------------------------------------------------
+
+std::string random_letters(Rng& rng, std::uint64_t n) {
+  std::string s(static_cast<std::size_t>(n), '\0');
+  for (auto& c : s) c = static_cast<char>('a' + rng.below(26));
+  return s;
+}
+
+// A `size`-byte source: one literal chunk, one synthetic span, or a mix of
+// literal spans, synthetic spans and windows of another run.
+Body random_source(Rng& rng, std::uint64_t size) {
+  const std::uint64_t kind = rng.below(3);
+  if (kind == 0) return Body::literal(random_letters(rng, size));
+  if (kind == 1) return Body::synthetic(rng.next(), rng.below(1000), size);
+  const Body inner = build_multipart_byteranges(
+      test_entity(64), std::vector<ResolvedRange>(8, ResolvedRange{0, 63}), 64,
+      kType, kBoundary);
+  Body mixed;
+  for (std::uint64_t done = 0; done < size;) {
+    const std::uint64_t piece = std::min(size - done, 1 + rng.below(40));
+    switch (rng.below(3)) {
+      case 0: mixed.append_literal(random_letters(rng, piece)); break;
+      case 1: mixed.append_synthetic(rng.next(), 0, piece); break;
+      default: mixed.append_body(inner.slice(rng.below(inner.size() - piece), piece));
+    }
+    done += piece;
+  }
+  return mixed;
+}
+
+enum Region { kHead, kPayload, kClosing };
+
+struct RunCase {
+  Body body;
+  std::string expected;  ///< the same body, written part by part
+  std::vector<std::pair<Region, std::pair<std::uint64_t, std::uint64_t>>> regions;
+};
+
+// A writer-built body over a random source, with 0, 1 or many parts,
+// positions of 1 or of 20 digits, and with or without Azure's per-part
+// fields; `expected` is built here from the RFC layout, not by the writer.
+RunCase random_run(Rng& rng, const std::vector<HeaderField>& azure_fields) {
+  const std::uint64_t size = 1 + rng.below(rng.chance(0.3) ? 9 : 300);
+  const std::uint64_t base = rng.chance(0.5) ? 0 : 10'000'000'000'000'000'000ULL;
+  const std::uint64_t total = base + size;
+  const std::size_t count = rng.chance(0.15)   ? 0
+                            : rng.chance(0.2) ? 1
+                                              : 2 + rng.below(30);
+  const bool azure = rng.chance(0.3);
+  const std::string boundary =
+      azure ? "batchresponse_9f63aa5b-4f21-47e5-ae0c-9f63aa5b4f21"
+            : std::string(1 + rng.below(70), 'q');
+  const Body source = random_source(rng, size);
+  const std::string bytes = source.materialize();
+
+  RunCase c;
+  std::vector<RunPart> parts;
+  std::string fields;
+  if (azure) {
+    for (const auto& f : azure_fields) fields += f.name + ": " + f.value + "\r\n";
+  }
+  const auto add = [&](Region region, const std::string& text) {
+    c.regions.push_back({region, {c.expected.size(), text.size()}});
+    c.expected += text;
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t len = 1 + rng.below(std::min<std::uint64_t>(size, 50));
+    const std::uint64_t offset = rng.below(size - len + 1);
+    const ResolvedRange r{base + offset, base + offset + len - 1};
+    parts.push_back({r, offset});
+    add(kHead, std::string(i == 0 ? "" : "\r\n") + "--" + boundary + "\r\n" +
+                   fields + "Content-Type: text/plain\r\nContent-Range: bytes " +
+                   std::to_string(r.first) + "-" + std::to_string(r.last) + "/" +
+                   std::to_string(total) + "\r\n\r\n");
+    add(kPayload, bytes.substr(static_cast<std::size_t>(offset),
+                               static_cast<std::size_t>(len)));
+  }
+  add(kClosing, std::string(count == 0 ? "" : "\r\n") + "--" + boundary + "--\r\n");
+  c.body = MultipartWriter(boundary, "text/plain", total,
+                           azure ? azure_fields : std::vector<HeaderField>{})
+               .frame(source, std::move(parts));
+  return c;
+}
+
+// A position inside a random region of `kind`, or nullopt when the body has
+// none (a run without parts has no head or payload).
+std::optional<std::uint64_t> position_in(Rng& rng, const RunCase& c, Region kind) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+  for (const auto& [region, span] : c.regions) {
+    if (region == kind && span.second > 0) spans.push_back(span);
+  }
+  if (spans.empty()) return std::nullopt;
+  const auto& [first, length] = spans[static_cast<std::size_t>(rng.below(spans.size()))];
+  return first + rng.below(length);
+}
+
+TEST(MultipartRun, WindowsReadTheirBytesOnSeededBodies) {
+  Rng rng(7233'0001);
+  const auto azure_fields =
+      cdn::make_profile(cdn::Vendor::kAzure).traits.multipart_part_extra_headers;
+  ASSERT_FALSE(azure_fields.empty());
+  constexpr std::array<Region, 3> kRegions{kHead, kPayload, kClosing};
+  for (int trial = 0; trial < 400; ++trial) {
+    const RunCase c = random_run(rng, azure_fields);
+    const std::string& all = c.expected;
+    const std::uint64_t n = all.size();
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_EQ(c.body.chunks().size(), 1u);
+    ASSERT_EQ(c.body.size(), n);
+    ASSERT_EQ(c.body.materialize(), all);
+    EXPECT_EQ(c.body, Body::literal(all));
+    EXPECT_EQ(Body::literal(all), c.body);
+
+    // Windows cut inside every pair of region kinds.
+    for (const Region from : kRegions) {
+      for (const Region to : kRegions) {
+        const auto a = position_in(rng, c, from);
+        const auto b = position_in(rng, c, to);
+        if (!a || !b) continue;
+        const std::uint64_t first = std::min(*a, *b);
+        const std::uint64_t length = std::max(*a, *b) - first + 1;
+        const std::string want = all.substr(static_cast<std::size_t>(first),
+                                            static_cast<std::size_t>(length));
+        EXPECT_EQ(c.body.slice(first, length).materialize(), want)
+            << first << "+" << length;
+        EXPECT_EQ(c.body.at(first), static_cast<std::uint8_t>(all[first]));
+        EXPECT_EQ(c.body.slice(first, length), Body::literal(want));
+
+        Body cut = c.body;
+        cut.truncate(first);
+        EXPECT_EQ(cut.materialize(), all.substr(0, static_cast<std::size_t>(first)));
+        EXPECT_EQ(cut.size(), first);
+
+        // Two adjacent windows appended in turn merge back into one chunk.
+        if (length >= 2) {
+          const std::uint64_t split = 1 + rng.below(length - 1);
+          Body joined = c.body.slice(first, split);
+          joined.append_body(c.body.slice(first + split, length - split));
+          EXPECT_EQ(joined.chunks().size(), 1u);
+          EXPECT_EQ(joined.materialize(), want);
+        }
+      }
+    }
+    // A window of a window reads the same bytes as one cut.
+    const std::uint64_t first = rng.below(n);
+    const std::uint64_t length = 1 + rng.below(n - first);
+    const Body outer = c.body.slice(first, length);
+    const std::uint64_t inner_first = rng.below(length);
+    const std::uint64_t inner_length = rng.below(length - inner_first + 1);
+    EXPECT_EQ(outer.slice(inner_first, inner_length).materialize(),
+              all.substr(static_cast<std::size_t>(first + inner_first),
+                         static_cast<std::size_t>(inner_length)));
+  }
+}
+
+TEST(MultipartRun, WindowsOfDifferentRunsDoNotMerge) {
+  const Body entity = test_entity(100);
+  const std::vector<ResolvedRange> ranges{{0, 9}, {20, 29}};
+  const Body a = build_multipart_byteranges(entity, ranges, 100, kType, kBoundary);
+  const Body b = build_multipart_byteranges(entity, ranges, 100, kType, kBoundary);
+  EXPECT_EQ(a, b);  // the same bytes ...
+  Body joined = a.slice(0, 10);
+  joined.append_body(b.slice(10, 10));
+  EXPECT_EQ(joined.chunks().size(), 2u);  // ... but two runs
+  EXPECT_EQ(joined.materialize(), a.materialize().substr(0, 20));
 }
 
 }  // namespace

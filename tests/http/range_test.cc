@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
+#include "http/generator.h"
+
 namespace rangeamp::http {
 namespace {
 
@@ -210,11 +215,55 @@ TEST(RangeProperties, OverlapDetection) {
   EXPECT_FALSE(any_overlap({{0, 10}}));
 }
 
-TEST(RangeProperties, OverlappingPairCount) {
-  // n identical open ranges -> n*(n-1)/2 overlapping pairs.
-  std::vector<ResolvedRange> same(5, ResolvedRange{0, 99});
-  EXPECT_EQ(overlapping_pair_count(same), 10u);
-  EXPECT_EQ(overlapping_pair_count({{0, 9}, {10, 19}}), 0u);
+// The definition any_overlap must agree with: some pair overlaps.
+bool any_overlapping_pair(const std::vector<ResolvedRange>& ranges) {
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    for (std::size_t j = i + 1; j < ranges.size(); ++j) {
+      if (ranges[i].overlaps(ranges[j])) return true;
+    }
+  }
+  return false;
+}
+
+TEST(RangeProperties, AnyOverlapMatchesThePairwiseDefinition) {
+  const std::vector<std::vector<ResolvedRange>> shapes{
+      {},                                   // empty
+      {{5, 9}},                             // single
+      {{0, 99}, {0, 99}},                   // identical
+      {{0, 9}, {10, 19}},                   // adjacent but disjoint
+      {{10, 19}, {0, 9}},                   // the same, unsorted
+      {{0, 100}, {10, 20}},                 // nested
+      {{10, 20}, {40, 50}, {0, 100}},       // nested, the outer one last
+      {{30, 40}, {0, 9}, {10, 19}},         // unsorted, disjoint
+      {{30, 40}, {0, 9}, {10, 19}, {40, 40}},  // unsorted, touching at 40
+  };
+  for (const auto& set : shapes) {
+    EXPECT_EQ(any_overlap(set), any_overlapping_pair(set)) << set.size();
+  }
+
+  Rng rng(9110);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::size_t overlapping = 0;
+  constexpr int kSets = 10000;
+  for (int trial = 0; trial < kSets; ++trial) {
+    // Short ranges in a universe sized to the set, so overlapping, touching
+    // and disjoint sets all come up; some sets sit at the top of the range
+    // of positions.
+    const std::size_t n = rng.below(13);
+    const std::uint64_t universe = 4 + 6 * n * (1 + rng.below(3));
+    const std::uint64_t base = rng.chance(0.2) ? kMax - universe - 8 : 0;
+    std::vector<ResolvedRange> set;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t first = base + rng.below(universe);
+      set.push_back({first, first + rng.below(rng.chance(0.1) ? 8 : 3)});
+    }
+    const bool expected = any_overlapping_pair(set);
+    ASSERT_EQ(any_overlap(set), expected) << "set " << trial;
+    overlapping += expected ? 1 : 0;
+  }
+  // Both answers are well represented.
+  EXPECT_GT(overlapping, kSets / 4u);
+  EXPECT_LT(overlapping, kSets * 3 / 4u);
 }
 
 TEST(RangeProperties, AscendingDisjoint) {

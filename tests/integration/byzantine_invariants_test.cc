@@ -12,6 +12,7 @@
 // overflows answered 502).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "core/rangeamp.h"
@@ -241,6 +242,99 @@ TEST(ByzantineBehaviors, HonestTrafficSurvivesStrictMode) {
   EXPECT_EQ(response.status, http::kPartialContent);
   EXPECT_EQ(bed.cdn.validation_stats().violations, 0u);
   EXPECT_EQ(bed.cdn.cache().size(), 1u);
+}
+
+TEST(ByzantineBehaviors, ShortSliceIsNeitherCachedNorServed) {
+  // Slicing over a short-body origin: a 206 slice carrying half the bytes
+  // its Content-Range names.  Kept, it would later answer multipart parts
+  // that promise bytes they do not carry.
+  origin::MaliciousOrigin mal(malicious_config(kSeed));
+  mal.resources().add_synthetic("/s.bin", 4096);
+  mal.set_behavior(origin::MaliciousBehavior::kShortBody);
+  cdn::VendorProfile profile = cdn::make_profile(cdn::Vendor::kAkamai);
+  profile.logic = std::make_unique<cdn::SliceLogic>(1024);
+  cdn::CdnNode node(std::move(profile), mal, "cdn-origin");
+  net::TrafficRecorder client_traffic("client-cdn");
+  net::Wire client_wire(client_traffic, node);
+  const auto get = [&](const std::string& target, const std::string& range) {
+    auto request = http::make_get(std::string{core::kDefaultHost}, target);
+    request.headers.add("Range", range);
+    return client_wire.transfer(request);
+  };
+
+  EXPECT_EQ(get("/s.bin?q=1", "bytes=0-99,300-399").status, http::kBadGateway);
+
+  // Honest from here on: the next answer must come from a fresh slice.
+  mal.set_behavior(origin::MaliciousBehavior::kHonest);
+  const std::uint64_t fetches = node.upstream_traffic().exchange_count();
+  const http::Response answer = get("/s.bin?q=2", "bytes=0-9,600-699");
+  ASSERT_EQ(answer.status, http::kPartialContent);
+  EXPECT_GT(node.upstream_traffic().exchange_count(), fetches);
+  const auto boundary =
+      http::boundary_from_content_type(answer.headers.get_or("Content-Type", ""));
+  ASSERT_TRUE(boundary);
+  const auto parts =
+      http::parse_multipart_byteranges(answer.body.materialize(), *boundary);
+  ASSERT_TRUE(parts);
+  ASSERT_EQ(parts->size(), 2u);
+  const std::string entity = mal.resources().find("/s.bin")->entity.materialize();
+  EXPECT_EQ((*parts)[0].payload.materialize(), entity.substr(0, 10));
+  EXPECT_EQ((*parts)[1].payload.materialize(), entity.substr(600, 100));
+}
+
+// Answers each ranged request with the first half of the range asked for,
+// under a Content-Range that says so: a consistent answer, but short.
+class HalfRangeOrigin final : public net::HttpHandler {
+ public:
+  http::Response handle(const http::Request& request) override {
+    http::Response response = origin.handle(request);
+    const auto cr =
+        http::parse_content_range(response.headers.get_or("Content-Range", ""));
+    if (response.status != http::kPartialContent || !cr) return response;
+    const std::uint64_t half = (cr->range.length() + 1) / 2;
+    response.body = response.body.slice(0, half);
+    response.headers.set(
+        "Content-Range",
+        http::content_range({cr->range.first, cr->range.first + half - 1},
+                            cr->resource_size));
+    response.headers.set("Content-Length", std::to_string(half));
+    return response;
+  }
+
+  origin::OriginServer origin;
+};
+
+TEST(ByzantineBehaviors, SliceShortOfAPartsBytesIsAnswered502) {
+  HalfRangeOrigin upstream;
+  upstream.origin.resources().add_synthetic("/s.bin", 4096);
+  cdn::VendorProfile profile = cdn::make_profile(cdn::Vendor::kAkamai);
+  profile.logic = std::make_unique<cdn::SliceLogic>(1024);
+  cdn::CdnNode node(std::move(profile), upstream, "cdn-origin");
+  net::TrafficRecorder client_traffic("client-cdn");
+  net::Wire client_wire(client_traffic, node);
+  const auto get = [&](const std::string& range) {
+    auto request = http::make_get(std::string{core::kDefaultHost}, "/s.bin");
+    request.headers.add("Range", range);
+    return client_wire.transfer(request);
+  };
+
+  // Slice 0 holds bytes 0-511 only; 600-699 is not there to serve.
+  EXPECT_EQ(get("bytes=0-9,600-699").status, http::kBadGateway);
+
+  // Parts inside the bytes the slice holds are still answered in full.
+  const http::Response answer = get("bytes=0-9,300-399");
+  ASSERT_EQ(answer.status, http::kPartialContent);
+  const auto boundary =
+      http::boundary_from_content_type(answer.headers.get_or("Content-Type", ""));
+  ASSERT_TRUE(boundary);
+  const auto parts =
+      http::parse_multipart_byteranges(answer.body.materialize(), *boundary);
+  ASSERT_TRUE(parts);
+  ASSERT_EQ(parts->size(), 2u);
+  const std::string entity =
+      upstream.origin.resources().find("/s.bin")->entity.materialize();
+  EXPECT_EQ((*parts)[0].payload.materialize(), entity.substr(0, 10));
+  EXPECT_EQ((*parts)[1].payload.materialize(), entity.substr(300, 100));
 }
 
 TEST(ByzantineBehaviors, ServedLogRecordsRotation) {
