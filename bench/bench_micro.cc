@@ -3,6 +3,8 @@
 // full SBR/OBR end-to-end exchanges and the corpus generator.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+
 #include "core/rangeamp.h"
 #include "http/date.h"
 #include "http2/hpack.h"
@@ -80,6 +82,40 @@ void BM_ObrExchange(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObrExchange)->Arg(64)->Arg(1024)->Arg(10240);
+
+// run_obr_block's exchange: Cloudflare (Bypass) in front of Akamai, a fresh
+// ?x= query per exchange so both nodes miss, every log off.  BM_ObrExchange
+// repeats one URL, so after its first exchange the FCDN answers from its own
+// cache and the BCDN is never asked again.
+void BM_ObrCascadeMiss(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  cdn::ProfileOptions fcdn_options;
+  fcdn_options.cloudflare_mode = cdn::ProfileOptions::CloudflareMode::kBypass;
+  core::CascadeTestbed bed(cdn::make_profile(cdn::Vendor::kCloudflare, fcdn_options),
+                           cdn::make_profile(cdn::Vendor::kAkamai),
+                           core::obr_origin_config());
+  bed.origin().resources().add_synthetic(std::string{core::kObrPath}, 1024);
+  bed.origin().set_keep_log(false);
+  bed.client_traffic().set_keep_log(false);
+  bed.fcdn_bcdn_traffic().set_keep_log(false);
+  bed.bcdn_origin_traffic().set_keep_log(false);
+  const std::string range =
+      core::obr_range_case(cdn::Vendor::kCloudflare, n).to_string();
+  net::TransferOptions abort_early;
+  abort_early.abort_after_body_bytes = 4096;
+  std::uint64_t next = 0;
+  for (auto _ : state) {
+    char query[32];
+    std::snprintf(query, sizeof(query), "?x=%06llu",
+                  static_cast<unsigned long long>(next++));
+    auto request = http::make_get(std::string{core::kObrHost},
+                                  std::string{core::kObrPath} + query);
+    request.headers.add("Range", range);
+    auto response = bed.send(request, abort_early);
+    benchmark::DoNotOptimize(response);
+  }
+}
+BENCHMARK(BM_ObrCascadeMiss)->Arg(10746);
 
 void BM_GenerateCorpus(benchmark::State& state) {
   for (auto _ : state) {

@@ -167,25 +167,28 @@ Response CdnNode::handle(const Request& request) {
     span.note("node", traits_.node_id);
   }
   if (m_requests_) m_requests_->inc();
-  if (!detection_) {
-    Response response = handle_request(request, span);
-    sync_cache_stats(span);
-    span.set_status(response.status);
-    return response;
-  }
-  // Inline detection: measure the back-to-origin bytes this exchange causes
-  // (the recorder delta around handle_request) and feed the per-client
-  // detector afterwards.
-  const net::TrafficTotals origin_before = upstream_traffic_.totals();
-  Response response = handle_request(request, span);
-  net::TrafficTotals origin_delta = upstream_traffic_.totals();
-  origin_delta.request_bytes -= origin_before.request_bytes;
-  origin_delta.response_bytes -= origin_before.response_bytes;
+  // Inline detection measures the back-to-origin bytes this exchange causes
+  // (the recorder delta around it) and feeds the per-client detector
+  // afterwards, with the Range the exchange parsed.
+  const net::TrafficTotals origin_before =
+      detection_ ? upstream_traffic_.totals() : net::TrafficTotals{};
+  std::optional<Response> rejected = check_ingress(request, span);
+  // The Range is parsed once, past the protocol rejections; the detector
+  // still sees it on those.
   std::optional<RangeSet> range;
-  if (const auto value = request.headers.get("Range")) {
-    range = http::parse_range_header(*value);
+  if (!rejected || detection_) {
+    if (const auto value = request.headers.get("Range")) {
+      range = http::parse_range_header(*value);  // malformed -> ignored
+    }
   }
-  feed_detection(request, range, response, origin_delta, span);
+  Response response =
+      rejected ? std::move(*rejected) : handle_request(request, range, span);
+  if (detection_) {
+    net::TrafficTotals origin_delta = upstream_traffic_.totals();
+    origin_delta.request_bytes -= origin_before.request_bytes;
+    origin_delta.response_bytes -= origin_before.response_bytes;
+    feed_detection(request, range, response, origin_delta, span);
+  }
   sync_cache_stats(span);
   span.set_status(response.status);
   return response;
@@ -220,7 +223,8 @@ void CdnNode::sync_cache_stats(obs::SpanScope& span) {
   cache_bytes_reported_ = static_cast<double>(st.bytes);
 }
 
-Response CdnNode::handle_request(const Request& request, obs::SpanScope& span) {
+std::optional<Response> CdnNode::check_ingress(const Request& request,
+                                               obs::SpanScope& span) {
   if (const auto violation = check_request_limits(traits_.limits, request)) {
     span.note("verdict", "header-limits");
     return error(http::kRequestHeaderFieldsTooLarge, *violation);
@@ -228,17 +232,18 @@ Response CdnNode::handle_request(const Request& request, obs::SpanScope& span) {
   if (auto rejected = check_cdn_loop(request)) {
     span.note("verdict", "loop-rejected");
     if (m_loop_rejected_) m_loop_rejected_->inc();
-    return std::move(*rejected);
+    return rejected;
   }
   if (auto rejected = check_deadline_ingress(request, span)) {
     span.note("verdict", "deadline-expired");
-    return std::move(*rejected);
+    return rejected;
   }
+  return std::nullopt;
+}
 
-  std::optional<RangeSet> range;
-  if (const auto value = request.headers.get("Range")) {
-    range = http::parse_range_header(*value);  // malformed -> ignored
-  }
+Response CdnNode::handle_request(const Request& request,
+                                 const std::optional<RangeSet>& range,
+                                 obs::SpanScope& span) {
   if (range && traits_.ingress_max_range_count != 0 &&
       range->count() > traits_.ingress_max_range_count) {
     return error(http::kBadRequest,
@@ -1185,10 +1190,7 @@ Response CdnNode::serve(const WindowRef& window, const RangeSet* range) {
                          window.content_type),
                  window.body.slice(r.first - win_first, r.length()));
   };
-  const auto multipart = [&](const std::vector<ResolvedRange>& ranges) {
-    std::vector<http::RunPart> parts;
-    parts.reserve(ranges.size());
-    for (const auto& r : ranges) parts.push_back({r, r.first - win_first});
+  const auto multipart = [&](std::vector<http::RunPart> parts) {
     return respond_multipart(
         http::MultipartWriter(traits_.multipart_boundary, window.content_type,
                               total, traits_.multipart_part_extra_headers)
@@ -1202,38 +1204,67 @@ Response CdnNode::serve(const WindowRef& window, const RangeSet* range) {
     return style(http::kOk, content(total, {}, window.content_type),
                  window.body);
   };
+  const auto held = [&](const ResolvedRange& r) {
+    return r.first >= win_first && r.last < win_first + win_size;
+  };
+  constexpr std::string_view kNoneHeld = "no requested range within fetched window";
 
   if (range == nullptr) return full_200();
-  auto servable = http::resolve_all(*range, total);
-  if (servable.empty()) return respond_416(total);
-
-  // Keep only ranges the window can serve.
-  std::erase_if(servable, [&](const ResolvedRange& r) {
-    return r.first < win_first || r.last >= win_first + win_size;
-  });
-  if (servable.empty()) {
-    return error(http::kBadGateway, "no requested range within fetched window");
+  if (range->count() == 1) {
+    const auto r = http::resolve(range->specs.front(), total);
+    if (!r) return respond_416(total);
+    if (!held(*r)) return error(http::kBadGateway, kNoneHeld);
+    return single(*r);
   }
 
-  if (servable.size() == 1) return single(servable.front());
+  // One pass: resolve each range, keep it if the window holds it, and fold
+  // it into the previous part when it repeats that part's range.
+  bool satisfiable = false;
+  std::uint64_t servable = 0;  // ranges kept, repeats included
+  http::RunPartList list;
+  for (const auto& spec : range->specs) {
+    const auto r = http::resolve(spec, total);
+    if (!r) continue;
+    satisfiable = true;
+    if (!held(*r)) continue;
+    ++servable;
+    list.add(*r, r->first - win_first);
+  }
+  std::vector<http::RunPart> parts = std::move(list).take();
+  if (!satisfiable) return respond_416(total);
+  if (servable == 0) return error(http::kBadGateway, kNoneHeld);
+  if (servable == 1) return single(parts.front().range);
 
+  // The distinct ranges, for the policies that compare ranges.
+  const auto listed = [&] {
+    std::vector<ResolvedRange> ranges;
+    ranges.reserve(parts.size());
+    for (const auto& p : parts) ranges.push_back(p.range);
+    return ranges;
+  };
   switch (traits_.multi_reply) {
     case MultiRangeReplyPolicy::kHonorOverlapping:
       if (traits_.multi_reply_max_ranges != 0 &&
-          servable.size() > traits_.multi_reply_max_ranges) {
+          servable > traits_.multi_reply_max_ranges) {
         return full_200();
       }
-      return multipart(servable);
+      return multipart(std::move(parts));
     case MultiRangeReplyPolicy::kCoalesce: {
-      const auto merged = http::coalesce(servable);
+      const auto merged = http::coalesce(listed());
       if (merged.size() == 1) return single(merged.front());
-      return multipart(merged);
+      std::vector<http::RunPart> merged_parts;
+      merged_parts.reserve(merged.size());
+      for (const auto& r : merged) merged_parts.push_back({r, r.first - win_first});
+      return multipart(std::move(merged_parts));
     }
     case MultiRangeReplyPolicy::kRejectOverlapping416:
-      if (http::any_overlap(servable)) return respond_416(total);
-      return multipart(servable);
+      // A repeated range overlaps itself.
+      if (parts.size() < servable || http::any_overlap(listed())) {
+        return respond_416(total);
+      }
+      return multipart(std::move(parts));
     case MultiRangeReplyPolicy::kFirstRangeOnly:
-      return single(servable.front());
+      return single(parts.front().range);
     case MultiRangeReplyPolicy::kIgnoreRange:
       return full_200();
     case MultiRangeReplyPolicy::kReject416:

@@ -260,7 +260,14 @@ class CdnNode final : public net::HttpHandler {
   http::Response error(int status, std::string_view note);
 
  private:
+  /// The protocol rejections every request meets first: 431 on header
+  /// limits, 508/400 on CDN-Loop, 504 on an expired deadline (which also
+  /// resets the per-exchange deadline state).  nullopt admits the request.
+  std::optional<http::Response> check_ingress(const http::Request& request,
+                                              obs::SpanScope& span);
+  /// Answers an admitted request whose Range header parsed to `range`.
   http::Response handle_request(const http::Request& request,
+                                const std::optional<http::RangeSet>& range,
                                 obs::SpanScope& span);
   /// Publishes the cache engine's eviction/reject/bytes deltas to the
   /// attached registry (and notes evictions on the handle span).  Runs once

@@ -12,7 +12,9 @@
 //   * a *run span*: a window onto an immutable, shared multipart run
 //     (http/multipart.h).  A whole n-part multipart/byteranges answer is one
 //     such chunk; its heads and payloads are generated only when something
-//     writes its bytes.
+//     writes its bytes.  The run lists a part once per stretch of
+//     consecutive repeats, so an OBR answer of n identical parts is one
+//     listed part with count n.
 //
 // Sizes -- the quantity every experiment measures -- never touch a payload
 // byte: size() sums chunk lengths, O(number of chunks).  Copying, slicing and

@@ -11,12 +11,6 @@
 namespace rangeamp::http {
 namespace {
 
-std::size_t decimal_digits(std::uint64_t v) noexcept {
-  std::size_t n = 1;
-  for (; v >= 10; v /= 10) ++n;
-  return n;
-}
-
 // RFC 2046 section 5.1.1: boundary := 0*69<bchars> bcharsnospace, i.e. at
 // most 70 characters from a fixed alphabet, not ending in a space.  A
 // boundary outside the grammar is an injection vector (a crafted one can
@@ -100,9 +94,10 @@ MultipartRun::MultipartRun(MultipartWriter framing, Body source,
   starts_.reserve(parts_.size());
   std::uint64_t pos = 0;
   for (const auto& p : parts_) {
+    assert(p.count >= 1);
     assert(p.offset <= source_size && p.range.length() <= source_size - p.offset);
     starts_.push_back(pos);
-    pos += framing_.head_size(p.range) + p.range.length();
+    pos += p.count * (framing_.head_size(p.range) + p.range.length());
   }
   size_ = pos + framing_.closing_.size() - 2;
 }
@@ -156,23 +151,31 @@ void MultipartRun::write_to(std::string& out, std::uint64_t first,
     }
   };
 
-  // Start at the last part whose head begins at or before `begin`.
+  // Start at the last part whose first head begins at or before `begin`,
+  // past its repeats that end there or before.
   std::size_t i = static_cast<std::size_t>(
       std::upper_bound(starts_.begin(), starts_.end(), begin) - starts_.begin());
-  if (i > 0) pos = starts_[--i];
-  char digits[20];  // a 64-bit position has at most 20
-  const auto emit_number = [&](std::uint64_t v) {
-    const char* last = std::to_chars(digits, std::end(digits), v).ptr;
-    emit({digits, static_cast<std::size_t>(last - digits)});
-  };
-  for (; i < parts_.size() && pos < end; ++i) {
-    const ResolvedRange& r = parts_[i].range;
-    emit(framing_.head_prefix_);
-    emit_number(r.first);
-    emit("-");
-    emit_number(r.last);
-    emit(framing_.head_suffix_);
-    emit_payload(parts_[i].offset, r.length());
+  std::uint64_t skip = 0;
+  if (i > 0) {
+    pos = starts_[--i];
+    const RunPart& p = parts_[i];
+    const std::uint64_t each = framing_.head_size(p.range) + p.range.length();
+    skip = std::min((begin - pos) / each, p.count);
+    pos += skip * each;
+  }
+  char digits[41];  // "first-last": a 64-bit position has at most 20 digits
+  for (; i < parts_.size() && pos < end; ++i, skip = 0) {
+    const RunPart& p = parts_[i];
+    char* last = std::to_chars(digits, digits + 20, p.range.first).ptr;
+    *last++ = '-';
+    last = std::to_chars(last, std::end(digits), p.range.last).ptr;
+    const std::string_view positions(digits, static_cast<std::size_t>(last - digits));
+    for (std::uint64_t k = skip; k < p.count && pos < end; ++k) {
+      emit(framing_.head_prefix_);
+      emit(positions);
+      emit(framing_.head_suffix_);
+      emit_payload(p.offset, p.range.length());
+    }
   }
   if (pos < end) emit(framing_.closing_);
 }
@@ -183,11 +186,10 @@ Body build_multipart_byteranges(const Body& entity,
                                 std::string_view content_type,
                                 std::string_view boundary) {
   assert(entity.size() == resource_size);
-  std::vector<RunPart> parts;
-  parts.reserve(ranges.size());
-  for (const auto& r : ranges) parts.push_back({r, r.first});
+  RunPartList parts;
+  for (const auto& r : ranges) parts.add(r, r.first);
   return MultipartWriter(boundary, content_type, resource_size)
-      .frame(entity, std::move(parts));
+      .frame(entity, std::move(parts).take());
 }
 
 std::uint64_t multipart_byteranges_size(const std::vector<ResolvedRange>& ranges,

@@ -7,6 +7,10 @@
 // the boundary string and the Content-Range digits) is why the OBR attack's
 // measured amplification in Table V exceeds n * resource_size by a few
 // percent.
+//
+// A run part may repeat: consecutive identical parts are one RunPart with a
+// count, so the n identical parts of an OBR answer are sized, indexed and
+// skipped over in O(1).
 #pragma once
 
 #include <cstddef>
@@ -31,11 +35,40 @@ struct BytesRangePart {
   Body payload;
 };
 
-/// One part of a multipart run: the range it answers, and the position in
-/// the run's source body of the first of its range.length() payload bytes.
+/// One part of a multipart run, repeated `count` times in a row: the range
+/// it answers, and the position in the run's source body of the first of its
+/// range.length() payload bytes.
 struct RunPart {
   ResolvedRange range;
   std::uint64_t offset = 0;
+  std::uint64_t count = 1;  ///< >= 1
+};
+
+/// Gathers a run's part list from ranges added in order, folding each
+/// stretch of equal consecutive ranges into one part with a count.  The part
+/// being folded is held apart from the list until its stretch ends, so a
+/// repeat costs a compare and an increment.
+class RunPartList {
+ public:
+  /// Adds part `range`, whose payload starts at `offset` in the source.
+  void add(const ResolvedRange& range, std::uint64_t offset) {
+    if (last_.count != 0 && last_.range == range) {
+      ++last_.count;
+      return;
+    }
+    if (last_.count != 0) parts_.push_back(last_);
+    last_ = {range, offset, 1};
+  }
+
+  /// The folded list.
+  std::vector<RunPart> take() && {
+    if (last_.count != 0) parts_.push_back(last_);
+    return std::move(parts_);
+  }
+
+ private:
+  std::vector<RunPart> parts_;
+  RunPart last_{{}, 0, 0};  ///< count 0: nothing added yet
 };
 
 /// Writes multipart/byteranges bodies; every producer in the tree (the origin
@@ -56,8 +89,9 @@ class MultipartWriter {
   std::uint64_t size(const std::vector<ResolvedRange>& ranges) const noexcept;
 
   /// The body framing `parts` over `source`: one run chunk, whatever the
-  /// number of parts (see MultipartRun).  Requires every part's payload to
-  /// lie inside `source`.  The writer's head text moves into the run.
+  /// number of parts (see MultipartRun).  A part with count k stands for k
+  /// consecutive parts.  Requires every part's payload to lie inside
+  /// `source`.  The writer's head text moves into the run.
   Body frame(Body source, std::vector<RunPart> parts) &&;
 
  private:
@@ -73,15 +107,16 @@ class MultipartWriter {
 };
 
 /// An immutable multipart/byteranges body: the writer's head text, the
-/// source body and the part list.  Its size is summed once, in the
-/// constructor; its bytes exist only while write_to() generates them.  Body
+/// source body and the part list, in which a part may repeat (RunPart::
+/// count).  Its size is summed once, in the constructor, one product per
+/// listed part; its bytes exist only while write_to() generates them.  Body
 /// holds it through RunSpan windows, so slicing, truncating and relaying an
 /// n-part answer never touches its parts.
 ///
-/// The bytes are the parts in order -- each head, then its payload -- and
-/// the closing delimiter.  Every head and the closing line start with the
-/// CRLF that ends the previous payload; the first head has none, and a run
-/// without parts is only "--BOUNDARY--" CRLF.
+/// The bytes are the parts in order -- each head, then its payload, each
+/// repeat in turn -- and the closing delimiter.  Every head and the closing
+/// line start with the CRLF that ends the previous payload; the first head
+/// has none, and a run without parts is only "--BOUNDARY--" CRLF.
 class MultipartRun {
  public:
   MultipartRun(MultipartWriter framing, Body source, std::vector<RunPart> parts);
@@ -89,21 +124,24 @@ class MultipartRun {
   std::uint64_t size() const noexcept { return size_; }
 
   /// Appends bytes [first, first+length) to `out`, in one pass over the
-  /// parts the window touches.  Requires first + length <= size().
+  /// parts the window touches; the repeats before the window are skipped
+  /// by division.  Requires first + length <= size().
   void write_to(std::string& out, std::uint64_t first, std::uint64_t length) const;
 
  private:
   MultipartWriter framing_;
   Body source_;
   std::vector<RunPart> parts_;
-  /// Where each part's head starts, counted as if the body began with a
-  /// CRLF like every other head: the body is that text from position 2 on.
+  /// Where each listed part's first head starts, counted as if the body
+  /// began with a CRLF like every other head: the body is that text from
+  /// position 2 on.  In that count every repeat of a part is the same size.
   std::vector<std::uint64_t> starts_;
   std::uint64_t size_ = 0;
 };
 
 /// Builds the multipart body for the given resolved ranges over `entity`
-/// (the full representation).  `content_type` is the part-level type;
+/// (the full representation); consecutive equal ranges become one repeated
+/// run part.  `content_type` is the part-level type;
 /// `boundary` must not occur in the payload (synthetic payloads make
 /// collisions astronomically unlikely; callers use fixed vendor-flavored
 /// boundaries).

@@ -37,31 +37,61 @@ void append_u64(std::string& out, std::uint64_t v) {
   out.append(digits, end);
 }
 
-void append_spec(std::string& out, const ByteRangeSpec& spec) {
+// Bytes in the spelling of `spec`.
+std::size_t spec_size(const ByteRangeSpec& spec) noexcept {
+  if (spec.is_suffix()) return 1 + decimal_digits(*spec.suffix);
+  return decimal_digits(*spec.first) + 1 + (spec.last ? decimal_digits(*spec.last) : 0);
+}
+
+// Writes the spelling of `spec` at `p`, which has room for it before `end`,
+// and returns the position after it.
+char* write_spec(char* p, char* end, const ByteRangeSpec& spec) noexcept {
   if (spec.is_suffix()) {
-    out.push_back('-');
-    append_u64(out, *spec.suffix);
-    return;
+    *p++ = '-';
+    return std::to_chars(p, end, *spec.suffix).ptr;
   }
-  append_u64(out, *spec.first);
-  out.push_back('-');
-  if (spec.last) append_u64(out, *spec.last);
+  p = std::to_chars(p, end, *spec.first).ptr;
+  *p++ = '-';
+  return spec.last ? std::to_chars(p, end, *spec.last).ptr : p;
 }
 
 }  // namespace
 
 std::string ByteRangeSpec::to_string() const {
-  std::string out;
-  append_spec(out, *this);
+  std::string out(spec_size(*this), '\0');
+  write_spec(out.data(), out.data() + out.size(), *this);
   return out;
 }
 
 std::string RangeSet::to_string() const {
-  std::string out = "bytes=";
+  // Written in place, in one pass over the specs.  The buffer starts at the
+  // shortest spelling the set can have: every spec takes at least two bytes
+  // ("0-", "-0") and a comma.  Once a spec might not fit, the rest of the set
+  // is sized exactly, once.  An OBR set of 10^4 "0-" specs is never sized.
+  constexpr std::string_view kUnit = "bytes=";
+  constexpr std::ptrdiff_t kMaxSpec = 41;  // "-" and two 20-digit positions
+  std::string out(kUnit.size() + 3 * specs.size(), '\0');
+  char* p = std::copy(kUnit.begin(), kUnit.end(), out.data());
+  char* end = out.data() + out.size();
+  bool sized = false;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (i) out.push_back(',');
-    append_spec(out, specs[i]);
+    if (end - p <= kMaxSpec && !sized) {
+      const auto at = static_cast<std::size_t>(p - out.data());
+      std::size_t size = at;
+      for (std::size_t j = i; j < specs.size(); ++j) size += 1 + spec_size(specs[j]);
+      if (size > out.size()) {
+        std::string grown(size, '\0');
+        std::copy(out.data(), p, grown.data());
+        out = std::move(grown);
+      }
+      p = out.data() + at;
+      end = out.data() + out.size();
+      sized = true;
+    }
+    if (i) *p++ = ',';
+    p = write_spec(p, end, specs[i]);
   }
+  out.resize(static_cast<std::size_t>(p - out.data()));
   return out;
 }
 
@@ -125,21 +155,6 @@ std::optional<RangeSet> parse_range_header(std::string_view value,
   }
   if (set.specs.empty()) return std::nullopt;  // byte-range-set is 1#(...)
   return set;
-}
-
-std::optional<ResolvedRange> resolve(const ByteRangeSpec& spec,
-                                     std::uint64_t resource_size) noexcept {
-  if (resource_size == 0) return std::nullopt;
-  if (spec.is_suffix()) {
-    if (*spec.suffix == 0) return std::nullopt;  // "-0" selects nothing
-    const std::uint64_t len = std::min(*spec.suffix, resource_size);
-    return ResolvedRange{resource_size - len, resource_size - 1};
-  }
-  if (!spec.first) return std::nullopt;
-  if (*spec.first >= resource_size) return std::nullopt;
-  const std::uint64_t last =
-      spec.last ? std::min(*spec.last, resource_size - 1) : resource_size - 1;
-  return ResolvedRange{*spec.first, last};
 }
 
 std::vector<ResolvedRange> resolve_all(const RangeSet& set,

@@ -13,6 +13,7 @@
 // that vulnerable CDNs in the paper ignore.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -20,6 +21,13 @@
 #include <vector>
 
 namespace rangeamp::http {
+
+/// Digits in the decimal spelling of `v`.
+inline std::size_t decimal_digits(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  for (; v >= 10; v /= 10) ++n;
+  return n;
+}
 
 /// One element of a byte-range-set.
 ///
@@ -101,8 +109,21 @@ std::optional<RangeSet> parse_range_header(
 /// Resolves one spec against a representation of `resource_size` bytes.
 /// Returns nullopt when the spec is unsatisfiable for that size
 /// (first >= size, suffix of 0, any range against an empty resource).
-std::optional<ResolvedRange> resolve(const ByteRangeSpec& spec,
-                                     std::uint64_t resource_size) noexcept;
+/// Inline: a node resolves every range of an OBR set in its one pass.
+inline std::optional<ResolvedRange> resolve(const ByteRangeSpec& spec,
+                                            std::uint64_t resource_size) noexcept {
+  if (resource_size == 0) return std::nullopt;
+  if (spec.is_suffix()) {
+    if (*spec.suffix == 0) return std::nullopt;  // "-0" selects nothing
+    const std::uint64_t len = std::min(*spec.suffix, resource_size);
+    return ResolvedRange{resource_size - len, resource_size - 1};
+  }
+  if (!spec.first) return std::nullopt;
+  if (*spec.first >= resource_size) return std::nullopt;
+  const std::uint64_t last =
+      spec.last ? std::min(*spec.last, resource_size - 1) : resource_size - 1;
+  return ResolvedRange{*spec.first, last};
+}
 
 /// Resolves a whole set: unsatisfiable members are dropped (RFC 7233
 /// section 4.1: the server generates parts only for satisfiable ranges).

@@ -1,15 +1,18 @@
 // Deterministic allocation budgets for one client transfer on the paths the
-// campaigns run: an SBR miss, a cache-pollution miss and hit, and an OBR
-// cascade exchange.  An allocation count is exact for a given toolchain and
-// the same in Debug and Release builds, so unlike a wall-time floor these
-// bounds fail on any hardware when a change adds allocations.
+// campaigns run: an SBR miss, a cache-pollution miss and hit, an OBR cascade
+// exchange, and an OBR exchange at a node with inline detection.  An
+// allocation count, and the bytes those allocations ask for, are exact for a
+// given toolchain and the same in Debug and Release builds, so unlike a
+// wall-time floor these bounds fail on any hardware when a change adds
+// allocations.
 //
 // This binary replaces the global operator new/delete with counting
 // versions, which is why it is a suite of its own.  Each test builds its
-// request outside the counted window and reports the fewest allocations any
-// one of 16 consecutive exchanges makes: the steady per-exchange cost,
-// without the amortized growth of the cache's queues and map (a deque block
-// per dozen inserts, an occasional rehash) landing in one exchange's count.
+// request outside the counted window and reports the fewest allocations and
+// the fewest bytes any one of 16 consecutive exchanges makes: the steady
+// per-exchange cost, without the amortized growth of the cache's queues and
+// map (a deque block per dozen inserts, an occasional rehash) landing in one
+// exchange's count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,9 +36,11 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 void* counted_alloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
 }
 
@@ -67,29 +72,66 @@ namespace {
 
 constexpr int kRounds = 16;
 
-// Budgets, at most 10% above the counts the code makes today (32, 29, 8 and
-// 86 with GCC 12 and libstdc++).  A cut to a count should cut its bound.
-constexpr std::uint64_t kSbrMissBound = 35;
-constexpr std::uint64_t kPollutionMissBound = 31;
+// Budgets, at most 10% above what the code allocates today with GCC 12 and
+// libstdc++: 31, 28, 8, 78 and 60 allocations, and 111 398 and 72 634 bytes
+// for the two OBR exchanges.  A cut to a count should cut its bound.
+constexpr std::uint64_t kSbrMissBound = 34;
+constexpr std::uint64_t kPollutionMissBound = 30;
 constexpr std::uint64_t kPollutionHitBound = 8;
-constexpr std::uint64_t kObrBound = 94;
+constexpr std::uint64_t kObrBound = 85;
+constexpr std::uint64_t kObrBytesBound = 122'537;
+constexpr std::uint64_t kObrDetectionBound = 66;
+constexpr std::uint64_t kObrDetectionBytesBound = 79'897;
 
-// The fewest allocations `send` makes over kRounds exchanges, each on a
-// request `make(i)` built before the count starts.
+// What one exchange allocates: blocks, and the bytes they ask for.
+struct Cost {
+  std::uint64_t allocations = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t bytes = std::numeric_limits<std::uint64_t>::max();
+};
+
+// The fewest allocations and the fewest bytes `send` allocates over kRounds
+// exchanges, each on a request `make(i)` built before the count starts.
 template <typename Make, typename Send>
-std::uint64_t fewest_allocations(const char* what, Make make, Send send) {
-  std::uint64_t fewest = std::numeric_limits<std::uint64_t>::max();
+Cost fewest_per_exchange(const char* what, Make make, Send send) {
+  Cost fewest;
   for (int i = 0; i < kRounds; ++i) {
     const http::Request request = make(i);
-    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t bytes = g_bytes.load(std::memory_order_relaxed);
     send(request);
-    fewest = std::min(fewest,
-                      g_allocations.load(std::memory_order_relaxed) - before);
+    fewest.allocations =
+        std::min(fewest.allocations,
+                 g_allocations.load(std::memory_order_relaxed) - allocations);
+    fewest.bytes =
+        std::min(fewest.bytes, g_bytes.load(std::memory_order_relaxed) - bytes);
   }
-  std::printf("%s: %llu allocations per exchange\n", what,
-              static_cast<unsigned long long>(fewest));
+  std::printf("%s: %llu allocations, %llu bytes per exchange\n", what,
+              static_cast<unsigned long long>(fewest.allocations),
+              static_cast<unsigned long long>(fewest.bytes));
   return fewest;
 }
+
+// One n-range OBR request for a fresh URL per call: the fixed-width ?x=
+// query busts every cache on the path, so each exchange is a miss.
+class ObrRequests {
+ public:
+  ObrRequests(cdn::Vendor fcdn, std::size_t n)
+      : range_(core::obr_range_case(fcdn, n).to_string()) {}
+
+  http::Request operator()(int) {
+    char query[32];
+    std::snprintf(query, sizeof(query), "?x=%06llu",
+                  static_cast<unsigned long long>(next_++));
+    http::Request request = http::make_get(std::string{core::kObrHost},
+                                           std::string{core::kObrPath} + query);
+    request.headers.add("Range", range_);
+    return request;
+  }
+
+ private:
+  std::string range_;
+  std::uint64_t next_ = 0;
+};
 
 std::uint64_t upstream_exchanges(cdn::EdgeCluster& cluster) {
   std::uint64_t total = 0;
@@ -133,7 +175,7 @@ TEST(AllocBudget, SbrMiss) {
   for (int i = 0; i < 64; ++i) send(make(i));  // every node warm
 
   const std::uint64_t fetches_before = upstream_exchanges(cluster);
-  EXPECT_LE(fewest_allocations("sbr miss", make, send), kSbrMissBound);
+  EXPECT_LE(fewest_per_exchange("sbr miss", make, send).allocations, kSbrMissBound);
   EXPECT_EQ(upstream_exchanges(cluster) - fetches_before,
             static_cast<std::uint64_t>(kRounds));  // every one a miss
 }
@@ -196,11 +238,12 @@ class PollutionAllocBudget : public ::testing::Test {
 
 TEST_F(PollutionAllocBudget, AttackMiss) {
   const std::uint64_t before = fetches();
-  EXPECT_LE(fewest_allocations(
+  EXPECT_LE(fewest_per_exchange(
                 "pollution miss", [&](int) { return attack(); },
                 [&](const http::Request& r) {
                   EXPECT_EQ(attacker_wire_.transfer(r).status, 206);
-                }),
+                })
+                .allocations,
             kPollutionMissBound);
   EXPECT_EQ(fetches() - before, static_cast<std::uint64_t>(kRounds));
   EXPECT_GT(node_.cache().evictions(), 0u);
@@ -209,11 +252,12 @@ TEST_F(PollutionAllocBudget, AttackMiss) {
 TEST_F(PollutionAllocBudget, LegitHit) {
   legit_wire_.transfer(legit(0));  // resident whatever the flood evicted
   const std::uint64_t before = fetches();
-  EXPECT_LE(fewest_allocations(
+  EXPECT_LE(fewest_per_exchange(
                 "pollution hit", [](int) { return legit(0); },
                 [&](const http::Request& r) {
                   EXPECT_EQ(legit_wire_.transfer(r).status, 200);
-                }),
+                })
+                .allocations,
             kPollutionHitBound);
   EXPECT_EQ(fetches(), before);  // every one a hit
 }
@@ -232,18 +276,7 @@ TEST(AllocBudget, ObrCascadeExchange) {
   bed.fcdn_bcdn_traffic().set_keep_log(false);
   bed.bcdn_origin_traffic().set_keep_log(false);
 
-  const std::string range =
-      core::obr_range_case(cdn::Vendor::kCloudflare, 1024).to_string();
-  std::uint64_t next = 0;
-  const auto make = [&](int) {
-    char query[32];
-    std::snprintf(query, sizeof(query), "?x=%06llu",
-                  static_cast<unsigned long long>(next++));
-    http::Request request = http::make_get(std::string{core::kObrHost},
-                                           std::string{core::kObrPath} + query);
-    request.headers.add("Range", range);
-    return request;
-  };
+  ObrRequests make(cdn::Vendor::kCloudflare, 1024);
   net::TransferOptions abort_early;
   abort_early.abort_after_body_bytes = 4096;
   const auto send = [&](const http::Request& r) {
@@ -251,8 +284,38 @@ TEST(AllocBudget, ObrCascadeExchange) {
   };
   send(make(0));
 
-  EXPECT_LE(fewest_allocations("obr cascade n=1024", make, send), kObrBound);
+  const Cost cost = fewest_per_exchange("obr cascade n=1024", make, send);
+  EXPECT_LE(cost.allocations, kObrBound);
+  EXPECT_LE(cost.bytes, kObrBytesBound);
   EXPECT_GT(bed.fcdn_bcdn_traffic().response_bytes(), 1024u * 1024);
+}
+
+// An Akamai node with inline detection answering n = 1024 overlapping ranges
+// (a 1 KiB resource, the client aborting after 4 KiB of body).  The node and
+// its detector share one parse of the Range: the byte bound has no room for
+// a second (~49 KB at this n).
+TEST(AllocBudget, ObrExchangeWithDetection) {
+  cdn::VendorProfile profile = cdn::make_profile(cdn::Vendor::kAkamai);
+  profile.traits.detection.enabled = true;
+  core::SingleCdnTestbed bed(std::move(profile), core::obr_origin_config());
+  bed.origin().resources().add_synthetic(std::string{core::kObrPath}, 1024);
+  bed.origin().set_keep_log(false);
+  bed.client_traffic().set_keep_log(false);
+  bed.origin_traffic().set_keep_log(false);
+
+  ObrRequests make(cdn::Vendor::kAkamai, 1024);
+  net::TransferOptions abort_early;
+  abort_early.abort_after_body_bytes = 4096;
+  const auto send = [&](const http::Request& r) {
+    EXPECT_EQ(bed.send(r, abort_early).status, 206);
+  };
+  send(make(0));
+
+  const Cost cost = fewest_per_exchange("obr detection n=1024", make, send);
+  EXPECT_LE(cost.allocations, kObrDetectionBound);
+  EXPECT_LE(cost.bytes, kObrDetectionBytesBound);
+  // Every exchange, the warm-up included, fed the detector.
+  EXPECT_EQ(bed.cdn().detection()->stats().samples, kRounds + 1u);
 }
 
 }  // namespace

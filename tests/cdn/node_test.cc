@@ -469,6 +469,29 @@ TEST_F(NodeTest, RejectOverlapping416AllowsDisjoint) {
                       MultiRangeReplyPolicy::kRejectOverlapping416);
   EXPECT_EQ(bed.send(ranged("/r.bin", "bytes=0-0,5-5")).status, 206);
   EXPECT_EQ(bed.send(ranged("/r.bin?x", "bytes=0-5,3-9")).status, 416);
+  // A repeated range overlaps itself.
+  EXPECT_EQ(bed.send(ranged("/r.bin?y", "bytes=0-0,0-0")).status, 416);
+  EXPECT_EQ(bed.send(ranged("/r.bin?z", "bytes=0-0,5-5,5-5")).status, 416);
+}
+
+// Equal adjacent ranges fold into one run part with a count (the cap and
+// coalesce tests above send repeats too); equal ranges apart stay apart.
+TEST_F(NodeTest, NonAdjacentDuplicatesKeepTheirPartsInOrder) {
+  auto bed = make_bed(std::make_unique<DeletionLogic>());
+  const Response resp = bed.send(ranged("/r.bin", "bytes=0-0,5-5,0-0"));
+  ASSERT_EQ(resp.status, 206);
+  const auto parts = http::parse_multipart_byteranges(
+      resp.body.materialize(), "test_boundary_123");
+  ASSERT_TRUE(parts);
+  ASSERT_EQ(parts->size(), 3u);
+  const std::string entity =
+      bed.origin().resources().find("/r.bin")->entity.materialize();
+  const http::ResolvedRange want[] = {{0, 0}, {5, 5}, {0, 0}};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ((*parts)[i].range, want[i]) << i;
+    EXPECT_EQ((*parts)[i].payload.materialize(),
+              entity.substr(static_cast<std::size_t>(want[i].first), 1));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -267,15 +267,27 @@ Body random_source(Rng& rng, std::uint64_t size) {
 
 enum Region { kHead, kPayload, kClosing };
 
+// Where a listed part's repeats lie: `count` repeats of `each` bytes (head
+// and payload) from `first` on, counted as the writer counts, as if the body
+// began with the CRLF its first head drops.
+struct Repeats {
+  std::uint64_t first = 0;
+  std::uint64_t each = 0;
+  std::uint64_t count = 0;
+  std::uint64_t end() const { return first + each * count; }
+};
+
 struct RunCase {
   Body body;
   std::string expected;  ///< the same body, written part by part
   std::vector<std::pair<Region, std::pair<std::uint64_t, std::uint64_t>>> regions;
+  std::vector<Repeats> parts;  ///< one per listed part, in order
 };
 
-// A writer-built body over a random source, with 0, 1 or many parts,
-// positions of 1 or of 20 digits, and with or without Azure's per-part
-// fields; `expected` is built here from the RFC layout, not by the writer.
+// A writer-built body over a random source, with 0, 1 or many listed parts,
+// each repeated once or 2 to 50 times, positions of 1 or of 20 digits, and
+// with or without Azure's per-part fields; `expected` is built here from the
+// RFC layout, every repeat written out, not by the writer.
 RunCase random_run(Rng& rng, const std::vector<HeaderField>& azure_fields) {
   const std::uint64_t size = 1 + rng.below(rng.chance(0.3) ? 9 : 300);
   const std::uint64_t base = rng.chance(0.5) ? 0 : 10'000'000'000'000'000'000ULL;
@@ -304,13 +316,21 @@ RunCase random_run(Rng& rng, const std::vector<HeaderField>& azure_fields) {
     const std::uint64_t len = 1 + rng.below(std::min<std::uint64_t>(size, 50));
     const std::uint64_t offset = rng.below(size - len + 1);
     const ResolvedRange r{base + offset, base + offset + len - 1};
-    parts.push_back({r, offset});
-    add(kHead, std::string(i == 0 ? "" : "\r\n") + "--" + boundary + "\r\n" +
-                   fields + "Content-Type: text/plain\r\nContent-Range: bytes " +
-                   std::to_string(r.first) + "-" + std::to_string(r.last) + "/" +
-                   std::to_string(total) + "\r\n\r\n");
-    add(kPayload, bytes.substr(static_cast<std::size_t>(offset),
-                               static_cast<std::size_t>(len)));
+    const std::uint64_t repeats = rng.chance(0.35) ? 2 + rng.below(49) : 1;
+    parts.push_back({r, offset, repeats});
+    Repeats& at = c.parts.emplace_back();
+    for (std::uint64_t k = 0; k < repeats; ++k) {
+      // The body's first head has no leading CRLF; in the layout the writer
+      // counts, every repeat is the same size.
+      const std::uint64_t start = c.expected.size() + (c.expected.empty() ? 0 : 2);
+      add(kHead, std::string(c.expected.empty() ? "" : "\r\n") + "--" + boundary +
+                     "\r\n" + fields + "Content-Type: text/plain\r\nContent-Range: bytes " +
+                     std::to_string(r.first) + "-" + std::to_string(r.last) + "/" +
+                     std::to_string(total) + "\r\n\r\n");
+      add(kPayload, bytes.substr(static_cast<std::size_t>(offset),
+                                 static_cast<std::size_t>(len)));
+      if (k == 0) at = {start, c.expected.size() + 2 - start, repeats};
+    }
   }
   add(kClosing, std::string(count == 0 ? "" : "\r\n") + "--" + boundary + "--\r\n");
   c.body = MultipartWriter(boundary, "text/plain", total,
@@ -337,6 +357,7 @@ TEST(MultipartRun, WindowsReadTheirBytesOnSeededBodies) {
       cdn::make_profile(cdn::Vendor::kAzure).traits.multipart_part_extra_headers;
   ASSERT_FALSE(azure_fields.empty());
   constexpr std::array<Region, 3> kRegions{kHead, kPayload, kClosing};
+  std::uint64_t repeated_parts = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const RunCase c = random_run(rng, azure_fields);
     const std::string& all = c.expected;
@@ -347,6 +368,12 @@ TEST(MultipartRun, WindowsReadTheirBytesOnSeededBodies) {
     ASSERT_EQ(c.body.materialize(), all);
     EXPECT_EQ(c.body, Body::literal(all));
     EXPECT_EQ(Body::literal(all), c.body);
+    const auto expect_window = [&](std::uint64_t first, std::uint64_t length) {
+      EXPECT_EQ(c.body.slice(first, length).materialize(),
+                all.substr(static_cast<std::size_t>(first),
+                           static_cast<std::size_t>(length)))
+          << first << "+" << length;
+    };
 
     // Windows cut inside every pair of region kinds.
     for (const Region from : kRegions) {
@@ -358,8 +385,7 @@ TEST(MultipartRun, WindowsReadTheirBytesOnSeededBodies) {
         const std::uint64_t length = std::max(*a, *b) - first + 1;
         const std::string want = all.substr(static_cast<std::size_t>(first),
                                             static_cast<std::size_t>(length));
-        EXPECT_EQ(c.body.slice(first, length).materialize(), want)
-            << first << "+" << length;
+        expect_window(first, length);
         EXPECT_EQ(c.body.at(first), static_cast<std::uint8_t>(all[first]));
         EXPECT_EQ(c.body.slice(first, length), Body::literal(want));
 
@@ -378,6 +404,43 @@ TEST(MultipartRun, WindowsReadTheirBytesOnSeededBodies) {
         }
       }
     }
+
+    // Repeated parts: cuts at and inside every repeat, windows that start
+    // mid-repeat, and windows that run on into the next listed part (or the
+    // closing line).
+    for (std::size_t i = 0; i < c.parts.size(); ++i) {
+      const Repeats& p = c.parts[i];
+      if (p.count < 2) continue;
+      ++repeated_parts;
+      const std::uint64_t next_end =
+          i + 1 < c.parts.size() ? c.parts[i + 1].first + c.parts[i + 1].each : n + 2;
+      const auto at = [&](std::uint64_t k) {  // where repeat k starts in the body
+        return std::max<std::uint64_t>(p.first + k * p.each, 2) - 2;
+      };
+      for (std::uint64_t k = 0; k <= p.count; ++k) {
+        const std::uint64_t cut = at(k);
+        if (cut > 0) expect_window(cut - 1, std::min<std::uint64_t>(2, n - cut + 1));
+        if (k == p.count) break;
+        // From inside repeat k to inside the next repeat, or past the part.
+        const std::uint64_t mid = cut + 1 + rng.below(at(k + 1) - cut - 1);
+        expect_window(mid, std::min(n - mid, 1 + rng.below(p.each + 1)));
+        // From inside repeat k into the next listed part.
+        if (k + 2 >= p.count || rng.chance(0.1)) {
+          const std::uint64_t past = p.end() - 2 + rng.below(next_end - p.end());
+          expect_window(mid, std::min(n, past + 1) - mid);
+        }
+      }
+      // A body truncated between two repeats ends with the earlier one.
+      const std::uint64_t between = at(1 + rng.below(p.count - 1));
+      const std::uint64_t tail = std::min(between, p.each);
+      Body cut = c.body;
+      cut.truncate(between);
+      ASSERT_EQ(cut.size(), between);
+      EXPECT_EQ(cut.slice(between - tail, tail).materialize(),
+                all.substr(static_cast<std::size_t>(between - tail),
+                           static_cast<std::size_t>(tail)));
+    }
+
     // A window of a window reads the same bytes as one cut.
     const std::uint64_t first = rng.below(n);
     const std::uint64_t length = 1 + rng.below(n - first);
@@ -388,6 +451,7 @@ TEST(MultipartRun, WindowsReadTheirBytesOnSeededBodies) {
               all.substr(static_cast<std::size_t>(first + inner_first),
                          static_cast<std::size_t>(inner_length)));
   }
+  EXPECT_GT(repeated_parts, 400u);  // the seeded bodies do repeat parts
 }
 
 TEST(MultipartRun, WindowsOfDifferentRunsDoNotMerge) {

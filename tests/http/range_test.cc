@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -96,6 +97,56 @@ TEST(ParseRange, RoundTripsThroughToString) {
     const auto again = parse_range_header(set->to_string());
     ASSERT_TRUE(again);
     EXPECT_EQ(*again, *set);
+  }
+}
+
+// RangeSet::to_string sizes its output once and writes each spec in place.
+// It must spell what joining the specs' own spellings spells, and parse back.
+TEST(ParseRange, ToStringJoinsSpecSpellingsAndRoundTripsOnSeededSets) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const RangeSet pinned{{ByteRangeSpec::closed(0, 9), ByteRangeSpec::open(10),
+                         ByteRangeSpec::suffix_of(kMax),
+                         ByteRangeSpec::closed(kMax, kMax)}};
+  EXPECT_EQ(pinned.to_string(),
+            "bytes=0-9,10-,-18446744073709551615,"
+            "18446744073709551615-18446744073709551615");
+
+  Rng rng(7233'0002);
+  constexpr std::uint64_t kPositions[] = {0, 9, 10, kMax};
+  const auto position = [&] {
+    return rng.chance(0.6) ? kPositions[rng.below(4)] : rng.next() >> rng.below(64);
+  };
+  const auto random_spec = [&] {
+    switch (rng.below(3)) {
+      case 0: {
+        const std::uint64_t a = position();
+        const std::uint64_t b = position();
+        return ByteRangeSpec::closed(std::min(a, b), std::max(a, b));
+      }
+      case 1: return ByteRangeSpec::open(position());
+      default: return ByteRangeSpec::suffix_of(position());
+    }
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    // One spec, a few, or the 10 746 of Cloudflare's OBR case: all copies of
+    // one spec, as that attack sends them, or each drawn afresh.
+    const std::size_t n = trial % 20 == 0 ? 10'746 : trial % 2 ? 1 : 2 + rng.below(64);
+    const bool copies = trial % 40 == 0;
+    RangeSet set;
+    set.specs.push_back(random_spec());
+    while (set.specs.size() < n) {
+      set.specs.push_back(copies ? set.specs.front() : random_spec());
+    }
+    std::string want = "bytes=";
+    for (std::size_t i = 0; i < set.specs.size(); ++i) {
+      if (i) want += ',';
+      want += set.specs[i].to_string();
+    }
+    const std::string value = set.to_string();
+    ASSERT_EQ(value, want) << "trial " << trial;
+    const auto parsed = parse_range_header(value, 0);  // 0: no length guard
+    ASSERT_TRUE(parsed) << "trial " << trial;
+    EXPECT_EQ(*parsed, set) << "trial " << trial;
   }
 }
 
