@@ -32,7 +32,90 @@ void BM_ParseRangeHeaderMulti(benchmark::State& state) {
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_ParseRangeHeaderMulti)->Range(8, 8192)->Complexity(benchmark::oN);
+BENCHMARK(BM_ParseRangeHeaderMulti)->Range(8, 8192)->Arg(10746)->Complexity(benchmark::oN);
+
+// "bytes=" followed by n list elements, element i spelled `spell(i)`.
+template <typename Spell>
+std::string range_value_of(std::size_t n, Spell spell) {
+  std::string value = "bytes=";
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i) value += ',';
+    value += spell(i);
+  }
+  return value;
+}
+
+// The parse with no two consecutive equal ranges ("0-,1-,2-,..."): what an
+// attacker who varies every spec costs a node.
+void BM_ParseRangeHeaderDistinct(benchmark::State& state) {
+  const std::string value = range_value_of(
+      static_cast<std::size_t>(state.range(0)),
+      [](std::size_t i) { return std::to_string(i) + "-"; });
+  for (auto _ : state) {
+    auto set = http::parse_range_header(value);
+    benchmark::DoNotOptimize(set);
+  }
+}
+BENCHMARK(BM_ParseRangeHeaderDistinct)->Arg(10746);
+
+// Two ranges in turn ("0-,1-,0-,..."): no range equals the one before it,
+// and each takes the fewest bytes a range can.
+void BM_ParseRangeHeaderAlternating(benchmark::State& state) {
+  const std::string value = range_value_of(
+      static_cast<std::size_t>(state.range(0)),
+      [](std::size_t i) { return std::string{i % 2 ? "1-" : "0-"}; });
+  for (auto _ : state) {
+    auto set = http::parse_range_header(value);
+    benchmark::DoNotOptimize(set);
+  }
+}
+BENCHMARK(BM_ParseRangeHeaderAlternating)->Arg(10746);
+
+// Equal ranges spelled two ways in turn ("0-,00-,0-,..."): every range
+// repeats the previous one's value, but never its bytes.
+void BM_ParseRangeHeaderRespelled(benchmark::State& state) {
+  const std::string value = range_value_of(
+      static_cast<std::size_t>(state.range(0)),
+      [](std::size_t i) { return std::string{i % 2 ? "00-" : "0-"}; });
+  for (auto _ : state) {
+    auto set = http::parse_range_header(value);
+    benchmark::DoNotOptimize(set);
+  }
+}
+BENCHMARK(BM_ParseRangeHeaderRespelled)->Arg(10746);
+
+// Cloudflare's OBR case built and spelled, as each probe's client does.
+void BM_ObrRangeCase(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    auto value = core::obr_range_case(cdn::Vendor::kCloudflare, n).to_string();
+    benchmark::DoNotOptimize(value);
+  }
+}
+BENCHMARK(BM_ObrRangeCase)->Arg(10746);
+
+// A parsed OBR set spelled again, as the FCDN does when it forwards it.
+void BM_RangeSetToString(benchmark::State& state) {
+  const auto set = http::parse_range_header(
+      core::obr_range_case(cdn::Vendor::kCloudflare,
+                           static_cast<std::size_t>(state.range(0)))
+          .to_string());
+  for (auto _ : state) {
+    auto value = set->to_string();
+    benchmark::DoNotOptimize(value);
+  }
+}
+BENCHMARK(BM_RangeSetToString)->Arg(10746);
+
+// Table V's max-n search for one cascade: 29 probes through fresh testbeds,
+// 24 of them accepted.  This is the benchmark's obr-cascade set-up.
+void BM_MeasureObr(benchmark::State& state) {
+  for (auto _ : state) {
+    auto m = core::measure_obr(cdn::Vendor::kCloudflare, cdn::Vendor::kAkamai, 1024);
+    benchmark::DoNotOptimize(m);
+  }
+}
+BENCHMARK(BM_MeasureObr)->Unit(benchmark::kMillisecond);
 
 void BM_MultipartSizeComputation(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

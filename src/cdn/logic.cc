@@ -88,29 +88,30 @@ Response BoundedExpansionLogic::on_miss(CdnNode& node, const Request& request,
   // sets become [min_first, max_last + slack].
   bool any_open = false, any_closed = false, any_suffix = false;
   std::uint64_t min_first = UINT64_MAX, max_last = 0, max_suffix = 0;
-  for (const auto& spec : range->specs) {
+  for (const http::RangeRun& run : range->runs()) {
+    const ByteRangeSpec& spec = run.spec;
     if (spec.is_suffix()) {
       any_suffix = true;
-      max_suffix = std::max(max_suffix, *spec.suffix);
+      max_suffix = std::max(max_suffix, *spec.suffix());
     } else {
-      min_first = std::min(min_first, *spec.first);
+      min_first = std::min(min_first, *spec.first());
       if (spec.is_open()) {
         any_open = true;
       } else {
         any_closed = true;
-        max_last = std::max(max_last, *spec.last);
+        max_last = std::max(max_last, *spec.last());
       }
     }
   }
 
   RangeSet forward;
   if (any_suffix && !any_open && !any_closed) {
-    forward.specs.push_back(ByteRangeSpec::suffix_of(max_suffix + slack_));
+    forward.push(ByteRangeSpec::suffix_of(max_suffix + slack_));
   } else if (any_suffix || any_open) {
     // Mixed or open: cover from the earliest first to the end.
-    forward.specs.push_back(ByteRangeSpec::open(any_closed || any_open ? min_first : 0));
+    forward.push(ByteRangeSpec::open(any_closed || any_open ? min_first : 0));
   } else {
-    forward.specs.push_back(ByteRangeSpec::closed(min_first, max_last + slack_));
+    forward.push(ByteRangeSpec::closed(min_first, max_last + slack_));
   }
 
   const FetchResult result = node.fetch_result(request, forward);
@@ -140,7 +141,7 @@ std::optional<SliceLogic::SliceResult> SliceLogic::fetch_slice(
   }
 
   RangeSet slice_range;
-  slice_range.specs.push_back(http::ByteRangeSpec::closed(
+  slice_range.push(http::ByteRangeSpec::closed(
       index * slice_, index * slice_ + slice_ - 1));
   const FetchResult result = node.fetch_result(request, slice_range);
   if (!result.ok()) {

@@ -1211,24 +1211,25 @@ Response CdnNode::serve(const WindowRef& window, const RangeSet* range) {
 
   if (range == nullptr) return full_200();
   if (range->count() == 1) {
-    const auto r = http::resolve(range->specs.front(), total);
+    const auto r = http::resolve(range->front(), total);
     if (!r) return respond_416(total);
     if (!held(*r)) return error(http::kBadGateway, kNoneHeld);
     return single(*r);
   }
 
-  // One pass: resolve each range, keep it if the window holds it, and fold
-  // it into the previous part when it repeats that part's range.
+  // One pass over the runs: resolve each run's range once, keep it if the
+  // window holds it, and fold it into the previous part when it repeats that
+  // part's range.
   bool satisfiable = false;
   std::uint64_t servable = 0;  // ranges kept, repeats included
   http::RunPartList list;
-  for (const auto& spec : range->specs) {
-    const auto r = http::resolve(spec, total);
+  for (const http::RangeRun& run : range->runs()) {
+    const auto r = http::resolve(run.spec, total);
     if (!r) continue;
     satisfiable = true;
     if (!held(*r)) continue;
-    ++servable;
-    list.add(*r, r->first - win_first);
+    servable += run.count;
+    list.add(*r, r->first - win_first, run.count);
   }
   std::vector<http::RunPart> parts = std::move(list).take();
   if (!satisfiable) return respond_416(total);

@@ -66,7 +66,7 @@ class AkamaiLogic final : public VendorLogic {
   Response on_miss(CdnNode& node, const Request& request,
                    const std::optional<RangeSet>& range) override {
     if (!range) return deletion_miss(node, request, range);
-    if (range->count() == 1 && range->specs[0].is_open()) {
+    if (range->count() == 1 && range->front().is_open()) {
       return laziness_miss(node, request, range);
     }
     return deletion_miss(node, request, range);
@@ -89,7 +89,7 @@ class AlibabaLogic final : public VendorLogic {
                     : laziness_miss(node, request, range);
     }
     if (range->count() == 1) {
-      if (range->specs[0].is_suffix()) return deletion_miss(node, request, range);
+      if (range->front().is_suffix()) return deletion_miss(node, request, range);
       return laziness_miss(node, request, range);
     }
     return deletion_miss(node, request, range);
@@ -157,8 +157,7 @@ class AzureLogic final : public VendorLogic {
     if (window_covers) {
       // The documented second connection: "bytes=8388608-16777215".
       RangeSet window_range;
-      window_range.specs.push_back(
-          ByteRangeSpec::closed(kAzureWindowStart, kAzureWindowEnd));
+      window_range.push(ByteRangeSpec::closed(kAzureWindowStart, kAzureWindowEnd));
       const Response second = node.fetch(request, window_range);
       return serve_upstream_result(node, request, second, range);
     }
@@ -178,8 +177,8 @@ class Cdn77Logic final : public VendorLogic {
                    const std::optional<RangeSet>& range) override {
     if (!range) return deletion_miss(node, request, range);
     if (range->count() == 1) {
-      const auto& s = range->specs[0];
-      if (s.is_closed() && *s.first < kCdn77FirstByteThreshold) {
+      const auto& s = range->front();
+      if (s.is_closed() && *s.first() < kCdn77FirstByteThreshold) {
         return deletion_miss(node, request, range);
       }
     }
@@ -195,8 +194,8 @@ class CdnsunLogic final : public VendorLogic {
   Response on_miss(CdnNode& node, const Request& request,
                    const std::optional<RangeSet>& range) override {
     if (!range) return deletion_miss(node, request, range);
-    const auto& s0 = range->specs[0];
-    if (!s0.is_suffix() && *s0.first == 0) {
+    const auto& s0 = range->front();
+    if (!s0.is_suffix() && *s0.first() == 0) {
       return deletion_miss(node, request, range);
     }
     return laziness_miss(node, request, range);
@@ -212,7 +211,7 @@ class CloudflareCacheableLogic final : public VendorLogic {
   Response on_miss(CdnNode& node, const Request& request,
                    const std::optional<RangeSet>& range) override {
     if (!range) return deletion_miss(node, request, range);
-    if (range->count() == 1 && range->specs[0].is_open()) {
+    if (range->count() == 1 && range->front().is_open()) {
       return laziness_miss(node, request, range);
     }
     return deletion_miss(node, request, range);
@@ -237,7 +236,7 @@ class CloudFrontLogic final : public VendorLogic {
     };
 
     if (range->count() == 1) {
-      const auto& s = range->specs[0];
+      const auto& s = range->front();
       if (s.is_suffix()) {
         // UNDOCUMENTED: suffix ranges are not in CloudFront's Table I rows;
         // forwarded unchanged.
@@ -245,10 +244,10 @@ class CloudFrontLogic final : public VendorLogic {
       }
       RangeSet forward;
       if (s.is_open()) {
-        forward.specs.push_back(ByteRangeSpec::open(block_floor(*s.first)));
+        forward.push(ByteRangeSpec::open(block_floor(*s.first())));
       } else {
-        forward.specs.push_back(ByteRangeSpec::closed(block_floor(*s.first),
-                                                      block_ceil_last(*s.last)));
+        forward.push(ByteRangeSpec::closed(block_floor(*s.first()),
+                                           block_ceil_last(*s.last())));
       }
       const Response upstream = node.fetch(request, forward);
       return serve_upstream_result(node, request, upstream, range);
@@ -257,14 +256,15 @@ class CloudFrontLogic final : public VendorLogic {
     bool all_closed = true;
     std::uint64_t min_first = UINT64_MAX, max_last = 0;
     bool any_suffix = false;
-    for (const auto& s : range->specs) {
+    for (const http::RangeRun& run : range->runs()) {
+      const ByteRangeSpec& s = run.spec;
       if (s.is_suffix()) {
         any_suffix = true;
         all_closed = false;
       } else {
-        min_first = std::min(min_first, *s.first);
+        min_first = std::min(min_first, *s.first());
         if (s.is_closed()) {
-          max_last = std::max(max_last, *s.last);
+          max_last = std::max(max_last, *s.last());
         } else {
           all_closed = false;
         }
@@ -275,7 +275,7 @@ class CloudFrontLogic final : public VendorLogic {
       const std::uint64_t l = block_ceil_last(max_last);
       if (l - f + 1 <= kCloudFrontMultiSpanCap) {
         RangeSet forward;
-        forward.specs.push_back(ByteRangeSpec::closed(f, l));
+        forward.push(ByteRangeSpec::closed(f, l));
         const Response upstream = node.fetch(request, forward);
         return serve_upstream_result(node, request, upstream, range);
       }
@@ -289,7 +289,7 @@ class CloudFrontLogic final : public VendorLogic {
     }
     // Open-ended members: cover from the smallest block-aligned first.
     RangeSet forward;
-    forward.specs.push_back(ByteRangeSpec::open(block_floor(min_first)));
+    forward.push(ByteRangeSpec::open(block_floor(min_first)));
     const Response upstream = node.fetch(request, forward);
     return serve_upstream_result(node, request, upstream, range);
   }
@@ -303,7 +303,7 @@ class FastlyLogic final : public VendorLogic {
   Response on_miss(CdnNode& node, const Request& request,
                    const std::optional<RangeSet>& range) override {
     if (!range) return deletion_miss(node, request, range);
-    if (range->count() == 1 && range->specs[0].is_open()) {
+    if (range->count() == 1 && range->front().is_open()) {
       return laziness_miss(node, request, range);
     }
     return deletion_miss(node, request, range);
@@ -331,7 +331,7 @@ class HuaweiLogic final : public VendorLogic {
                     : laziness_miss(node, request, range);
     }
     if (range->count() == 1) {
-      const auto& s = range->specs[0];
+      const auto& s = range->front();
       if (s.is_open()) return laziness_miss(node, request, range);
       const Response head =
           node.fetch(request, std::nullopt, {}, http::Method::HEAD);
@@ -358,7 +358,7 @@ class KeyCdnLogic final : public VendorLogic {
  public:
   Response on_miss(CdnNode& node, const Request& request,
                    const std::optional<RangeSet>& range) override {
-    if (range && range->count() == 1 && range->specs[0].is_closed()) {
+    if (range && range->count() == 1 && range->front().is_closed()) {
       const auto key =
           Cache::key(request.headers.get_or("Host", ""), request.target);
       if (++seen_[key] == 1) {
@@ -425,7 +425,7 @@ class TencentLogic final : public VendorLogic {
                     : laziness_miss(node, request, range);
     }
     if (range->count() == 1) {
-      if (range->specs[0].is_closed()) return deletion_miss(node, request, range);
+      if (range->front().is_closed()) return deletion_miss(node, request, range);
       return laziness_miss(node, request, range);
     }
     return deletion_miss(node, request, range);

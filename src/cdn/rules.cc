@@ -15,16 +15,16 @@ namespace {
 
 RuleShape classify(const RangeSet& range) {
   if (range.count() > 1) return RuleShape::kMulti;
-  const auto& spec = range.specs[0];
+  const auto& spec = range.front();
   if (spec.is_suffix()) return RuleShape::kSingleSuffix;
   if (spec.is_open()) return RuleShape::kSingleOpen;
   return RuleShape::kSingleClosed;
 }
 
 std::optional<std::uint64_t> first_position(const RangeSet& range) {
-  const auto& spec = range.specs[0];
+  const auto& spec = range.front();
   if (spec.is_suffix()) return std::nullopt;
-  return spec.first;
+  return spec.first();
 }
 
 std::optional<std::uint64_t> parse_u64(std::string_view s) {

@@ -10,32 +10,26 @@ using http::RangeSet;
 namespace {
 
 std::vector<SbrPlan> candidate_plans(std::uint64_t file_size) {
-  const auto single = [](ByteRangeSpec spec) {
-    RangeSet set;
-    set.specs.push_back(spec);
-    return set;
-  };
   std::vector<SbrPlan> plans;
-  plans.push_back({"bytes=0-0", single(ByteRangeSpec::closed(0, 0)), 1});
-  plans.push_back({"bytes=-1", single(ByteRangeSpec::suffix_of(1)), 1});
-  plans.push_back({"bytes=0-", single(ByteRangeSpec::open(0)), 1});
+  plans.push_back({"bytes=0-0", RangeSet{ByteRangeSpec::closed(0, 0)}, 1});
+  plans.push_back({"bytes=-1", RangeSet{ByteRangeSpec::suffix_of(1)}, 1});
+  plans.push_back({"bytes=0-", RangeSet{ByteRangeSpec::open(0)}, 1});
   // The stateful probe: the same tiny range sent twice (KeyCDN's pattern).
-  plans.push_back({"bytes=0-0 & bytes=0-0", single(ByteRangeSpec::closed(0, 0)), 2});
+  plans.push_back({"bytes=0-0 & bytes=0-0", RangeSet{ByteRangeSpec::closed(0, 0)}, 2});
   if (file_size > 8'388'608) {
     // Azure's second-window case.
     plans.push_back({"bytes=8388608-8388608",
-                     single(ByteRangeSpec::closed(8'388'608, 8'388'608)), 1});
+                     RangeSet{ByteRangeSpec::closed(8'388'608, 8'388'608)}, 1});
   }
   // CloudFront's expansion-stretching multi case.
-  SbrPlan multi;
-  multi.description = "bytes=0-0,9437184-9437184";
-  multi.range = single(ByteRangeSpec::closed(0, 0));
-  multi.range.specs.push_back(ByteRangeSpec::closed(9'437'184, 9'437'184));
-  plans.push_back(std::move(multi));
+  plans.push_back({"bytes=0-0,9437184-9437184",
+                   RangeSet{ByteRangeSpec::closed(0, 0),
+                            ByteRangeSpec::closed(9'437'184, 9'437'184)},
+                   1});
   // A mid-file tiny range (catches prefix-window behaviours).
   if (file_size > 2) {
     plans.push_back({"bytes=mid-mid",
-                     single(ByteRangeSpec::closed(file_size / 2, file_size / 2)),
+                     RangeSet{ByteRangeSpec::closed(file_size / 2, file_size / 2)},
                      1});
   }
   return plans;

@@ -508,29 +508,22 @@ LegitBlockResult run_legit_block(const LegitWorkloadConfig& config,
         break;
       case 2: {  // video seek: open-ended resume from a realistic offset
         request = http::make_get("shop.example.com", "/video.mp4");
-        http::RangeSet set;
-        set.specs.push_back(
-            http::ByteRangeSpec::open(rng.below(20u << 20)));
-        range = set;
+        range = http::RangeSet{http::ByteRangeSpec::open(rng.below(20u << 20))};
         resource_size = 20u << 20;
         break;
       }
       case 3: {  // multi-threaded downloader: a disjoint 4 MB segment
         request = http::make_get("shop.example.com", "/download.iso");
         const std::uint64_t seg = rng.below(12);
-        http::RangeSet set;
-        set.specs.push_back(http::ByteRangeSpec::closed(
-            seg * (4u << 20), (seg + 1) * (4u << 20) - 1));
-        range = set;
+        range = http::RangeSet{
+            http::ByteRangeSpec::closed(seg * (4u << 20), (seg + 1) * (4u << 20) - 1)};
         resource_size = 50u << 20;
         break;
       }
       default: {  // resume of the tail of a download
         request = http::make_get("shop.example.com", "/download.iso");
-        http::RangeSet set;
-        set.specs.push_back(http::ByteRangeSpec::suffix_of(
-            rng.between(1u << 20, 8u << 20)));
-        range = set;
+        range = http::RangeSet{
+            http::ByteRangeSpec::suffix_of(rng.between(1u << 20, 8u << 20))};
         resource_size = 50u << 20;
         break;
       }

@@ -17,11 +17,11 @@ std::string_view range_class_name(RangeClass c) noexcept {
 RangeClass classify_range(const std::optional<http::RangeSet>& range) noexcept {
   if (!range || range->empty()) return RangeClass::kNone;
   if (range->count() > 1) return RangeClass::kMulti;
-  const http::ByteRangeSpec& spec = range->specs.front();
+  const http::ByteRangeSpec& spec = range->front();
   if (spec.is_suffix()) return RangeClass::kSuffix;
   if (spec.is_open()) return RangeClass::kOpen;
   if (spec.is_closed()) {
-    const std::uint64_t length = *spec.last - *spec.first + 1;
+    const std::uint64_t length = *spec.last() - *spec.first() + 1;
     return length <= kTinyRangeClassBytes ? RangeClass::kTinyClosed
                                           : RangeClass::kSingleClosed;
   }
@@ -31,7 +31,15 @@ RangeClass classify_range(const std::optional<http::RangeSet>& range) noexcept {
 std::uint64_t selected_bytes_of(const std::optional<http::RangeSet>& range,
                                 std::uint64_t resource_bytes) {
   if (!range) return UINT64_MAX;
-  return http::total_selected_bytes(http::resolve_all(*range, resource_bytes));
+  // Per run, allocating nothing; the product wraps mod 2^64 as the sum of
+  // its count lengths would.
+  std::uint64_t total = 0;
+  for (const http::RangeRun& run : range->runs()) {
+    if (const auto r = http::resolve(run.spec, resource_bytes)) {
+      total += r->length() * run.count;
+    }
+  }
+  return total;
 }
 
 DetectorSample make_detector_sample(std::uint64_t selected,

@@ -78,19 +78,17 @@ RangeSet obr_range_case(Vendor fcdn, std::size_t n) {
     case Vendor::kCdn77:
       // CDN77's Deletion rule triggers on closed first<1024 ranges; a
       // leading suffix keeps the set on the Laziness path (Table II).
-      set.specs.push_back(ByteRangeSpec::suffix_of(1024));
+      set.push(ByteRangeSpec::suffix_of(1024));
       break;
     case Vendor::kCdnsun:
       // CDNsun deletes sets whose first spec starts at byte 0 (Table I);
       // start the set at byte 1 (Table II: start1 >= 1).
-      set.specs.push_back(ByteRangeSpec::open(1));
+      set.push(ByteRangeSpec::open(1));
       break;
     default:
       break;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    set.specs.push_back(ByteRangeSpec::open(0));
-  }
+  set.push(ByteRangeSpec::open(0), n);
   return set;
 }
 

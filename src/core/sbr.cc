@@ -9,16 +9,6 @@ using cdn::Vendor;
 using http::ByteRangeSpec;
 using http::RangeSet;
 
-namespace {
-
-RangeSet single(ByteRangeSpec spec) {
-  RangeSet set;
-  set.specs.push_back(spec);
-  return set;
-}
-
-}  // namespace
-
 SbrPlan sbr_plan(Vendor vendor, std::uint64_t file_size) {
   SbrPlan plan;
   switch (vendor) {
@@ -31,38 +21,38 @@ SbrPlan sbr_plan(Vendor vendor, std::uint64_t file_size) {
     case Vendor::kStackPath:
     case Vendor::kTencentCloud:
       plan.description = "bytes=0-0";
-      plan.range = single(ByteRangeSpec::closed(0, 0));
+      plan.range = RangeSet{ByteRangeSpec::closed(0, 0)};
       break;
     case Vendor::kAlibabaCloud:
       plan.description = "bytes=-1";
-      plan.range = single(ByteRangeSpec::suffix_of(1));
+      plan.range = RangeSet{ByteRangeSpec::suffix_of(1)};
       break;
     case Vendor::kAzure:
       if (file_size <= 8 * (1u << 20)) {
         plan.description = "bytes=0-0 (F<=8MB)";
-        plan.range = single(ByteRangeSpec::closed(0, 0));
+        plan.range = RangeSet{ByteRangeSpec::closed(0, 0)};
       } else {
         plan.description = "bytes=8388608-8388608 (F>8MB)";
-        plan.range = single(ByteRangeSpec::closed(8'388'608, 8'388'608));
+        plan.range = RangeSet{ByteRangeSpec::closed(8'388'608, 8'388'608)};
       }
       break;
     case Vendor::kCloudFront:
       plan.description = "bytes=0-0,9437184-9437184";
-      plan.range = single(ByteRangeSpec::closed(0, 0));
-      plan.range.specs.push_back(ByteRangeSpec::closed(9'437'184, 9'437'184));
+      plan.range = RangeSet{ByteRangeSpec::closed(0, 0),
+                            ByteRangeSpec::closed(9'437'184, 9'437'184)};
       break;
     case Vendor::kHuaweiCloud:
       if (file_size < cdn::kHuaweiSizeThreshold) {
         plan.description = "bytes=-1 (F<10MB)";
-        plan.range = single(ByteRangeSpec::suffix_of(1));
+        plan.range = RangeSet{ByteRangeSpec::suffix_of(1)};
       } else {
         plan.description = "bytes=0-0 (F>=10MB)";
-        plan.range = single(ByteRangeSpec::closed(0, 0));
+        plan.range = RangeSet{ByteRangeSpec::closed(0, 0)};
       }
       break;
     case Vendor::kKeyCdn:
       plan.description = "bytes=0-0 & bytes=0-0";
-      plan.range = single(ByteRangeSpec::closed(0, 0));
+      plan.range = RangeSet{ByteRangeSpec::closed(0, 0)};
       plan.sends = 2;  // first sighting is forwarded lazily; the second
                        // triggers Deletion (Table I)
       break;

@@ -12,12 +12,6 @@ using http::RangeSet;
 
 namespace {
 
-RangeSet set_of(std::initializer_list<ByteRangeSpec> specs) {
-  RangeSet set;
-  set.specs = specs;
-  return set;
-}
-
 // Renders what one origin-side request did with the Range header.
 std::string render_forwarded(const http::Request& origin_request,
                              std::string_view sent_value) {
@@ -44,25 +38,25 @@ std::string OriginView::summary() const {
 
 std::vector<ForwardProbe> standard_forward_probes() {
   std::vector<ForwardProbe> probes;
-  probes.push_back({"bytes=first-last (tiny)", set_of({ByteRangeSpec::closed(0, 0)})});
+  probes.push_back({"bytes=first-last (tiny)", RangeSet{ByteRangeSpec::closed(0, 0)}});
   probes.push_back(
-      {"bytes=first-last (first>=1024)", set_of({ByteRangeSpec::closed(2048, 2049)})});
+      {"bytes=first-last (first>=1024)", RangeSet{ByteRangeSpec::closed(2048, 2049)}});
   probes.push_back({"bytes=first-last (second 8MiB window)",
-                    set_of({ByteRangeSpec::closed(8'388'608, 8'388'608)})});
-  probes.push_back({"bytes=-suffix", set_of({ByteRangeSpec::suffix_of(1)})});
-  probes.push_back({"bytes=first-", set_of({ByteRangeSpec::open(5)})});
+                    RangeSet{ByteRangeSpec::closed(8'388'608, 8'388'608)}});
+  probes.push_back({"bytes=-suffix", RangeSet{ByteRangeSpec::suffix_of(1)}});
+  probes.push_back({"bytes=first-", RangeSet{ByteRangeSpec::open(5)}});
   probes.push_back({"bytes=f1-l1,f2-l2 (disjoint)",
-                    set_of({ByteRangeSpec::closed(0, 0),
-                            ByteRangeSpec::closed(9'437'184, 9'437'184)})});
+                    RangeSet{ByteRangeSpec::closed(0, 0),
+                             ByteRangeSpec::closed(9'437'184, 9'437'184)}});
   probes.push_back({"bytes=0-,0-,0- (overlapping)",
-                    set_of({ByteRangeSpec::open(0), ByteRangeSpec::open(0),
-                            ByteRangeSpec::open(0)})});
+                    RangeSet{ByteRangeSpec::open(0), ByteRangeSpec::open(0),
+                             ByteRangeSpec::open(0)}});
   probes.push_back({"bytes=1-,0-,0- (overlapping, start1>=1)",
-                    set_of({ByteRangeSpec::open(1), ByteRangeSpec::open(0),
-                            ByteRangeSpec::open(0)})});
+                    RangeSet{ByteRangeSpec::open(1), ByteRangeSpec::open(0),
+                             ByteRangeSpec::open(0)}});
   probes.push_back({"bytes=-1024,0-,0- (overlapping, suffix lead)",
-                    set_of({ByteRangeSpec::suffix_of(1024), ByteRangeSpec::open(0),
-                            ByteRangeSpec::open(0)})});
+                    RangeSet{ByteRangeSpec::suffix_of(1024), ByteRangeSpec::open(0),
+                             ByteRangeSpec::open(0)}});
   return probes;
 }
 
@@ -180,7 +174,7 @@ ReplyObservation scan_replying(Vendor vendor, const cdn::ProfileOptions& options
     http::Request request =
         http::make_get(std::string{kDefaultHost}, "/reply.bin?scan=1");
     RangeSet set;
-    for (std::size_t i = 0; i < n; ++i) set.specs.push_back(ByteRangeSpec::open(0));
+    set.push(ByteRangeSpec::open(0), n);
     request.headers.add("Range", set.to_string());
     const http::Response response = bed.send(request);
     if (response.status != http::kPartialContent) return 0;

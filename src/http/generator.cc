@@ -20,17 +20,17 @@ GeneratedRange generate_range(Rng& rng, RangeShape shape,
   RangeSet set;
   switch (shape) {
     case RangeShape::kSingleClosed:
-      set.specs.push_back(random_closed(rng, size));
+      set.push(random_closed(rng, size));
       break;
     case RangeShape::kSingleOpen:
-      set.specs.push_back(ByteRangeSpec::open(rng.below(size)));
+      set.push(ByteRangeSpec::open(rng.below(size)));
       break;
     case RangeShape::kSingleSuffix:
-      set.specs.push_back(ByteRangeSpec::suffix_of(rng.between(1, size)));
+      set.push(ByteRangeSpec::suffix_of(rng.between(1, size)));
       break;
     case RangeShape::kTinyClosed: {
       const std::uint64_t k = rng.below(size);
-      set.specs.push_back(ByteRangeSpec::closed(k, k));
+      set.push(ByteRangeSpec::closed(k, k));
       break;
     }
     case RangeShape::kMultiDisjoint: {
@@ -40,7 +40,7 @@ GeneratedRange generate_range(Rng& rng, RangeShape shape,
       for (std::size_t i = 0; i < n && cursor < size; ++i) {
         const std::uint64_t first = rng.between(cursor, size - 1);
         const std::uint64_t last = rng.between(first, size - 1);
-        set.specs.push_back(ByteRangeSpec::closed(first, last));
+        set.push(ByteRangeSpec::closed(first, last));
         if (last + 2 > size) break;
         cursor = last + 2;
       }
@@ -50,10 +50,10 @@ GeneratedRange generate_range(Rng& rng, RangeShape shape,
       const std::size_t n = static_cast<std::size_t>(rng.between(3, 16));
       for (std::size_t i = 0; i < n; ++i) {
         if (rng.chance(0.5)) {
-          set.specs.push_back(ByteRangeSpec::open(rng.below(std::min<std::uint64_t>(size, 4))));
+          set.push(ByteRangeSpec::open(rng.below(std::min<std::uint64_t>(size, 4))));
         } else {
           const std::uint64_t first = rng.below(std::min<std::uint64_t>(size, 8));
-          set.specs.push_back(
+          set.push(
               ByteRangeSpec::closed(first, rng.between(first, size - 1)));
         }
       }
@@ -63,12 +63,12 @@ GeneratedRange generate_range(Rng& rng, RangeShape shape,
       const std::size_t n = static_cast<std::size_t>(rng.between(8, 64));
       for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t k = rng.below(size);
-        set.specs.push_back(ByteRangeSpec::closed(k, k));
+        set.push(ByteRangeSpec::closed(k, k));
       }
       break;
     }
   }
-  if (set.specs.empty()) set.specs.push_back(ByteRangeSpec::closed(0, 0));
+  if (set.empty()) set.push(ByteRangeSpec::closed(0, 0));
   return GeneratedRange{shape, std::move(set)};
 }
 

@@ -47,17 +47,19 @@ struct RunPart {
 /// Gathers a run's part list from ranges added in order, folding each
 /// stretch of equal consecutive ranges into one part with a count.  The part
 /// being folded is held apart from the list until its stretch ends, so a
-/// repeat costs a compare and an increment.
+/// repeat costs a compare and an addition.
 class RunPartList {
  public:
-  /// Adds part `range`, whose payload starts at `offset` in the source.
-  void add(const ResolvedRange& range, std::uint64_t offset) {
+  /// Adds `count` parts `range`, whose payload starts at `offset` in the
+  /// source.  Requires count >= 1.
+  void add(const ResolvedRange& range, std::uint64_t offset,
+           std::uint64_t count = 1) {
     if (last_.count != 0 && last_.range == range) {
-      ++last_.count;
+      last_.count += count;
       return;
     }
     if (last_.count != 0) parts_.push_back(last_);
-    last_ = {range, offset, 1};
+    last_ = {range, offset, count};
   }
 
   /// The folded list.

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 
 namespace rangeamp::http {
 namespace {
@@ -15,19 +18,35 @@ std::string_view trim_ows(std::string_view s) {
   return s;
 }
 
+// Reads the decimal digits at `p` into `v`.  Returns the position after them,
+// or nullptr when there are none or the value does not fit 64 bits.  Written
+// out: GCC keeps a std::from_chars wrapper out of line, and its per-digit
+// overflow check made the Range parse slower.  Any 19 digits fit, so only
+// the digits after them (leading zeros make them legal) are checked.
+inline const char* read_pos(const char* p, const char* end, std::uint64_t& v) {
+  const auto digit = [](char c) { return static_cast<unsigned char>(c - '0'); };
+  const char* const start = p;
+  const char* const sure = end - p > 19 ? p + 19 : end;
+  std::uint64_t n = 0;
+  for (; p != sure && digit(*p) < 10; ++p) n = n * 10 + digit(*p);
+  if (p == start) return nullptr;
+  if (p == sure) {
+    for (; p != end && digit(*p) < 10; ++p) {
+      constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+      if (n > (kMax - digit(*p)) / 10) return nullptr;
+      n = n * 10 + digit(*p);
+    }
+  }
+  v = n;
+  return p;
+}
+
 std::optional<std::uint64_t> parse_pos(std::string_view s) {
   if (s.empty()) return std::nullopt;
   std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
+  const char* const end = s.data() + s.size();
+  if (read_pos(s.data(), end, v) != end) return std::nullopt;
   return v;
-}
-
-// Reads the decimal digits at `p` into `v`.  Returns the position after them,
-// or nullptr when there are none or the value does not fit 64 bits.
-const char* read_pos(const char* p, const char* end, std::uint64_t& v) {
-  const auto [next, ec] = std::from_chars(p, end, v);
-  return ec == std::errc{} ? next : nullptr;
 }
 
 // Appends the decimal spelling of `v`.
@@ -39,20 +58,61 @@ void append_u64(std::string& out, std::uint64_t v) {
 
 // Bytes in the spelling of `spec`.
 std::size_t spec_size(const ByteRangeSpec& spec) noexcept {
-  if (spec.is_suffix()) return 1 + decimal_digits(*spec.suffix);
-  return decimal_digits(*spec.first) + 1 + (spec.last ? decimal_digits(*spec.last) : 0);
+  if (const auto suffix = spec.suffix()) return 1 + decimal_digits(*suffix);
+  const auto last = spec.last();
+  return decimal_digits(spec.first().value_or(0)) + 1 +
+         (last ? decimal_digits(*last) : 0);
 }
 
 // Writes the spelling of `spec` at `p`, which has room for it before `end`,
 // and returns the position after it.
 char* write_spec(char* p, char* end, const ByteRangeSpec& spec) noexcept {
-  if (spec.is_suffix()) {
+  if (const auto suffix = spec.suffix()) {
     *p++ = '-';
-    return std::to_chars(p, end, *spec.suffix).ptr;
+    return std::to_chars(p, end, *suffix).ptr;
   }
-  p = std::to_chars(p, end, *spec.first).ptr;
+  p = std::to_chars(p, end, spec.first().value_or(0)).ptr;
   *p++ = '-';
-  return spec.last ? std::to_chars(p, end, *spec.last).ptr : p;
+  const auto last = spec.last();
+  return last ? std::to_chars(p, end, *last).ptr : p;
+}
+
+// Whole copies of the element [element, at) that follow it from `at` on.
+// The first copy is compared byte by byte here: a list respelled in
+// elements of one length differs within their first bytes, and a memcmp call
+// per element made its parse ~15% slower.  The rest is one memcmp of the
+// value against itself shifted by a period when it all repeats, else a
+// gallop to a mismatch and a bisection, each comparing only bytes not yet
+// known to match.
+std::size_t whole_periods(const char* element, const char* at, const char* end) {
+  const auto period = static_cast<std::size_t>(at - element);
+  const std::size_t fit = static_cast<std::size_t>(end - at) / period;
+  if (fit == 0) return 0;
+  for (std::size_t i = 0; i < period; ++i) {
+    if (element[i] != at[i]) return 0;
+  }
+  const auto same = [&](std::size_t lo, std::size_t hi) {  // copies [lo, hi)
+    const std::size_t from = lo * period;
+    return std::memcmp(at + from, element + from, (hi - lo) * period) == 0;
+  };
+  if (same(1, fit)) return fit;
+  // Copies [0, lo) match.  Gallop until [lo, hi) holds a mismatch, then
+  // bisect that stretch.
+  std::size_t lo = 1;
+  std::size_t hi = 2;
+  while (same(lo, hi)) {
+    lo = hi;
+    hi = std::min(2 * hi, fit);
+  }
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (same(lo, mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 }  // namespace
@@ -64,34 +124,37 @@ std::string ByteRangeSpec::to_string() const {
 }
 
 std::string RangeSet::to_string() const {
-  // Written in place, in one pass over the specs.  The buffer starts at the
-  // shortest spelling the set can have: every spec takes at least two bytes
-  // ("0-", "-0") and a comma.  Once a spec might not fit, the rest of the set
-  // is sized exactly, once.  An OBR set of 10^4 "0-" specs is never sized.
+  // Sized exactly, in one pass over the runs.  A run's first element is
+  // spelled once; its other copies, each a comma and that spelling, are
+  // filled by memcpy calls that double the bytes written.
   constexpr std::string_view kUnit = "bytes=";
-  constexpr std::ptrdiff_t kMaxSpec = 41;  // "-" and two 20-digit positions
-  std::string out(kUnit.size() + 3 * specs.size(), '\0');
-  char* p = std::copy(kUnit.begin(), kUnit.end(), out.data());
-  char* end = out.data() + out.size();
-  bool sized = false;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (end - p <= kMaxSpec && !sized) {
-      const auto at = static_cast<std::size_t>(p - out.data());
-      std::size_t size = at;
-      for (std::size_t j = i; j < specs.size(); ++j) size += 1 + spec_size(specs[j]);
-      if (size > out.size()) {
-        std::string grown(size, '\0');
-        std::copy(out.data(), p, grown.data());
-        out = std::move(grown);
-      }
-      p = out.data() + at;
-      end = out.data() + out.size();
-      sized = true;
+  std::size_t size = kUnit.size();
+  for (const RangeRun& run : runs_) {
+    const std::size_t period = spec_size(run.spec) + 1;  // with its comma
+    if (run.count > (std::numeric_limits<std::size_t>::max() - size) / period) {
+      throw std::length_error("RangeSet::to_string: value too long");
     }
-    if (i) *p++ = ',';
-    p = write_spec(p, end, specs[i]);
+    size += run.count * period;
   }
-  out.resize(static_cast<std::size_t>(p - out.data()));
+  std::string out(size - !runs_.empty(), '\0');  // no comma before the first
+  char* p = std::copy(kUnit.begin(), kUnit.end(), out.data());
+  char* const end = out.data() + out.size();
+  for (const RangeRun& run : runs_) {
+    if (p != out.data() + kUnit.size()) *p++ = ',';
+    char* const spelled = p;
+    p = write_spec(p, end, run.spec);
+    const auto period = static_cast<std::size_t>(p - spelled) + 1;
+    const std::size_t copies = (run.count - 1) * period;
+    if (copies == 0) continue;
+    *p = ',';
+    std::copy(spelled, spelled + period - 1, p + 1);
+    for (std::size_t done = period; done < copies;) {
+      const std::size_t n = std::min(done, copies - done);
+      std::memcpy(p + done, p, n);
+      done += n;
+    }
+    p += copies;
+  }
   return out;
 }
 
@@ -114,55 +177,101 @@ std::optional<RangeSet> parse_range_header(std::string_view value,
 
   // One cursor pass over the list: OWS, then a spec or an empty element
   // (RFC 7230 #rule allows those; they are skipped), then OWS and a comma or
-  // the end.  A spec is digits "-" [digits] or "-" digits.
-  RangeSet set;
+  // the end.  A spec is digits "-" [digits] or "-" digits.  Equal
+  // consecutive specs fold into one run, whose spec and count are held here
+  // until the next run starts.
+  std::vector<RangeRun> runs;
+  ByteRangeSpec last;       // the last run's spec; no spelling before the first
+  std::uint64_t count = 0;  // the last run's count
+  std::uint64_t total = 0;  // elements in the runs before it
+  std::size_t fold_period = 0;  // bytes of the previous element, if it folded
   const char* p = value.data() + kUnit.size();
   const char* const end = value.data() + value.size();
   while (true) {
+    const char* const element = p;
     while (p != end && is_ows(*p)) ++p;
     if (p == end) break;
-    if (*p != ',') {
-      // Filled in place: copying in a spec built on the stack stalls on store
-      // forwarding once per element, several times slower under GCC.
-      ByteRangeSpec& spec = set.specs.emplace_back();
-      std::uint64_t n = 0;
-      if (*p == '-') {  // suffix-byte-range-spec: "-suffix"
-        p = read_pos(p + 1, end, n);
-        if (!p) return std::nullopt;
-        spec.suffix = n;
-      } else {
-        p = read_pos(p, end, n);
-        if (!p || p == end || *p != '-') return std::nullopt;
-        spec.first = n;
-        if (++p != end && *p >= '0' && *p <= '9') {
-          p = read_pos(p, end, n);
-          // RFC 7233 §2.1: last < first makes the spec invalid.
-          if (!p || n < *spec.first) return std::nullopt;
-          spec.last = n;
-        }
-      }
-      // Every spec takes at least 3 bytes with its comma, so once one spec
-      // is valid the rest of the value bounds how many can follow.  Bare
-      // commas and garbage never reserve anything.
-      if (set.specs.size() == 1) {
-        set.specs.reserve(static_cast<std::size_t>(end - p) / 3 + 1);
-      }
-      while (p != end && is_ows(*p)) ++p;
-      if (p == end) break;
-      if (*p != ',') return std::nullopt;
+    if (*p == ',') {
+      ++p;
+      continue;
     }
+    ByteRangeSpec spec;
+    std::uint64_t a = 0;
+    if (*p == '-') {
+      p = read_pos(p + 1, end, a);
+      if (!p) return std::nullopt;
+      spec = ByteRangeSpec::suffix_of(a);
+    } else {
+      p = read_pos(p, end, a);
+      if (!p || p == end || *p != '-') return std::nullopt;
+      if (++p != end && *p >= '0' && *p <= '9') {
+        std::uint64_t b = 0;
+        p = read_pos(p, end, b);
+        // RFC 7233 §2.1: last < first makes the spec invalid.
+        if (!p || b < a) return std::nullopt;
+        spec = ByteRangeSpec::closed(a, b);
+      } else {
+        spec = ByteRangeSpec::open(a);
+      }
+    }
+    while (p != end && is_ows(*p)) ++p;
+    if (p != end && *p != ',') return std::nullopt;
+    if (spec == last) {
+      ++count;
+      // The element's bytes, with its OWS and comma.  When the element
+      // before also folded and took as many bytes, the run's spelling may
+      // be repeating: parsed from the next element on, every further copy
+      // of these bytes adds one more element to the run and ends at an
+      // element start again, so all the copies that follow are counted at
+      // once.  The last element has no comma and is read as usual.
+      const auto period = static_cast<std::size_t>(p - element) + 1;
+      if (p != end && period == fold_period) {
+        const std::size_t copies = whole_periods(element, p + 1, end);
+        count += copies;
+        p += 1 + copies * period;
+        continue;
+      }
+      fold_period = period;
+    } else {
+      if (count != 0) {
+        runs.back().count = count;
+        total += count;
+      }
+      last = spec;
+      count = 1;
+      fold_period = 0;
+      // Grown eightfold as runs arrive, never past what the rest of the
+      // value can hold (an element and its comma take at least 3 bytes), so
+      // a value that turns out malformed has cost a bounded multiple of the
+      // runs it held.  Doubling made a 10 746-run parse in a loop several
+      // times slower under glibc, from mmap and trim churn on the blocks it
+      // freed.
+      if (runs.size() == runs.capacity()) {
+        const std::size_t more = static_cast<std::size_t>(end - p) / 3;
+        const std::size_t fit = runs.size() + 1 + more;
+        runs.reserve(std::max<std::size_t>(1, std::min(8 * runs.size(), fit)));
+      }
+      runs.push_back({spec, 1});
+    }
+    if (p == end) break;
     ++p;  // the comma
   }
-  if (set.specs.empty()) return std::nullopt;  // byte-range-set is 1#(...)
+  if (count == 0) return std::nullopt;  // byte-range-set is 1#(...)
+  runs.back().count = count;
+  RangeSet set;
+  set.runs_ = std::move(runs);
+  set.count_ = total + count;
   return set;
 }
 
 std::vector<ResolvedRange> resolve_all(const RangeSet& set,
                                        std::uint64_t resource_size) {
   std::vector<ResolvedRange> out;
-  out.reserve(set.specs.size());
-  for (const auto& spec : set.specs) {
-    if (auto r = resolve(spec, resource_size)) out.push_back(*r);
+  out.reserve(set.count());
+  for (const RangeRun& run : set.runs()) {
+    if (const auto r = resolve(run.spec, resource_size)) {
+      out.insert(out.end(), run.count, *r);
+    }
   }
   return out;
 }

@@ -8,13 +8,16 @@
 //   suffix-byte-range-spec = "-" suffix-length
 //
 // A ByteRangeSpec is one element of the set; a RangeSet is the whole header
-// value.  resolve() implements the satisfiability rules of RFC 7233 section
-// 2.1; overlap/coalesce implement the security recommendations of section 6.1
+// value, held as runs of equal consecutive elements, so the n copies of one
+// range an OBR attacker sends are parsed, stored and spelled as one run.
+// resolve() implements the satisfiability rules of RFC 7233 section 2.1;
+// overlap/coalesce implement the security recommendations of section 6.1
 // that vulnerable CDNs in the paper ignore.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -32,32 +35,60 @@ inline std::size_t decimal_digits(std::uint64_t v) noexcept {
 /// One element of a byte-range-set.
 ///
 /// Exactly one of the three RFC 7233 spellings:
-///   * first && last   : "first-last"   (closed range)
-///   * first && !last  : "first-"       (open-ended range)
-///   * suffix          : "-suffix"      (suffix range, last `suffix` bytes)
-struct ByteRangeSpec {
-  std::optional<std::uint64_t> first;
-  std::optional<std::uint64_t> last;
-  std::optional<std::uint64_t> suffix;
+///   * closed : "first-last"
+///   * open   : "first-"
+///   * suffix : "-suffix" (the last `suffix` bytes)
+/// Held as two positions and a kind, 24 bytes, so that a RangeRun is 32: the
+/// parser writes one run per list element that differs from the one before.
+class ByteRangeSpec {
+  enum class Kind : std::uint8_t { kNone, kClosed, kOpen, kSuffix };
+
+ public:
+  /// A spec of no spelling: first(), last() and suffix() are all empty.
+  ByteRangeSpec() = default;
 
   static ByteRangeSpec closed(std::uint64_t first, std::uint64_t last) {
-    return {first, last, std::nullopt};
+    return {first, last, Kind::kClosed};
   }
   static ByteRangeSpec open(std::uint64_t first) {
-    return {first, std::nullopt, std::nullopt};
+    return {first, 0, Kind::kOpen};
   }
   static ByteRangeSpec suffix_of(std::uint64_t suffix) {
-    return {std::nullopt, std::nullopt, suffix};
+    return {suffix, 0, Kind::kSuffix};
   }
 
-  bool is_closed() const noexcept { return first && last; }
-  bool is_open() const noexcept { return first && !last; }
-  bool is_suffix() const noexcept { return !first && suffix.has_value(); }
+  bool is_closed() const noexcept { return kind_ == Kind::kClosed; }
+  bool is_open() const noexcept { return kind_ == Kind::kOpen; }
+  bool is_suffix() const noexcept { return kind_ == Kind::kSuffix; }
+
+  /// first-byte-pos: set for a closed or an open spec.
+  std::optional<std::uint64_t> first() const noexcept {
+    if (is_closed() || is_open()) return pos_;
+    return std::nullopt;
+  }
+  /// last-byte-pos: set for a closed spec.
+  std::optional<std::uint64_t> last() const noexcept {
+    if (is_closed()) return last_;
+    return std::nullopt;
+  }
+  /// suffix-length: set for a suffix spec.
+  std::optional<std::uint64_t> suffix() const noexcept {
+    if (is_suffix()) return pos_;
+    return std::nullopt;
+  }
 
   /// RFC 7233 spelling of this spec, e.g. "0-0", "500-", "-2".
   std::string to_string() const;
 
   bool operator==(const ByteRangeSpec&) const = default;
+
+ private:
+  ByteRangeSpec(std::uint64_t pos, std::uint64_t last, Kind kind) noexcept
+      : pos_(pos), last_(last), kind_(kind) {}
+
+  std::uint64_t pos_ = 0;   ///< first-byte-pos, or suffix-length
+  std::uint64_t last_ = 0;  ///< last-byte-pos of a closed spec, else 0
+  Kind kind_ = Kind::kNone;
 };
 
 /// A resolved (satisfiable) range: inclusive absolute byte positions.
@@ -76,25 +107,24 @@ struct ResolvedRange {
   bool operator==(const ResolvedRange&) const = default;
 };
 
-/// A parsed Range header value ("bytes=..." only; other units are rejected).
-struct RangeSet {
-  std::vector<ByteRangeSpec> specs;
+/// `count` consecutive list elements that all equal `spec`.
+struct RangeRun {
+  ByteRangeSpec spec;
+  std::uint64_t count = 1;  ///< >= 1
 
-  bool empty() const noexcept { return specs.empty(); }
-  std::size_t count() const noexcept { return specs.size(); }
-
-  /// Header value spelling: "bytes=spec1,spec2,...".
-  std::string to_string() const;
-
-  bool operator==(const RangeSet&) const = default;
+  bool operator==(const RangeRun&) const = default;
 };
 
+class RangeSet;
+
 /// Default cap on the Range header value length parse_range_header accepts.
-/// A guard in the spirit of Envoy's range-header length limit: the parser
-/// allocates one ByteRangeSpec per list element, so an attacker-controlled
-/// header must not drive unbounded work/memory.  The default is deliberately
-/// generous -- the longest header any RangeAmp experiment emits (StackPath's
-/// ~81 KB OBR case) stays well inside it.
+/// A guard in the spirit of Envoy's range-header length limit: an
+/// attacker-controlled header must not drive unbounded work.  The parser
+/// stores one run per stretch of equal ranges, so what it allocates grows
+/// with the runs it has parsed, never past what the value could hold, and a
+/// run of repeats costs it a few memcmp calls over the stretch's bytes.  The default is deliberately generous -- the longest
+/// header any RangeAmp experiment emits (StackPath's ~81 KB OBR case) stays
+/// well inside it.
 inline constexpr std::size_t kMaxRangeHeaderBytes = 256 * 1024;
 
 /// Parses a Range header value.  Returns nullopt when the value does not
@@ -106,6 +136,48 @@ inline constexpr std::size_t kMaxRangeHeaderBytes = 256 * 1024;
 std::optional<RangeSet> parse_range_header(
     std::string_view value, std::size_t max_value_bytes = kMaxRangeHeaderBytes);
 
+/// A parsed Range header value ("bytes=..." only; other units are rejected),
+/// held as runs: each stretch of equal consecutive elements is one RangeRun.
+/// Runs are canonical -- none is empty, and no two neighbours have equal
+/// specs -- so two sets compare equal exactly when their lists do.
+class RangeSet {
+ public:
+  RangeSet() = default;
+  RangeSet(std::initializer_list<ByteRangeSpec> specs) {
+    for (const ByteRangeSpec& spec : specs) push(spec);
+  }
+
+  /// Appends `count` elements equal to `spec`, folded into the last run when
+  /// it has the same spec.  A count of 0 appends nothing.
+  void push(const ByteRangeSpec& spec, std::uint64_t count = 1) {
+    if (count == 0) return;
+    count_ += count;
+    if (!runs_.empty() && runs_.back().spec == spec) {
+      runs_.back().count += count;
+    } else {
+      runs_.push_back({spec, count});
+    }
+  }
+
+  const std::vector<RangeRun>& runs() const noexcept { return runs_; }
+  bool empty() const noexcept { return count_ == 0; }
+  /// Elements in the list, repeats included.
+  std::uint64_t count() const noexcept { return count_; }
+  /// The first element.  Requires !empty().
+  const ByteRangeSpec& front() const noexcept { return runs_.front().spec; }
+
+  /// Header value spelling: "bytes=spec1,spec2,...", every repeat spelled.
+  std::string to_string() const;
+
+  bool operator==(const RangeSet&) const = default;
+
+ private:
+  friend std::optional<RangeSet> parse_range_header(std::string_view, std::size_t);
+
+  std::vector<RangeRun> runs_;
+  std::uint64_t count_ = 0;
+};
+
 /// Resolves one spec against a representation of `resource_size` bytes.
 /// Returns nullopt when the spec is unsatisfiable for that size
 /// (first >= size, suffix of 0, any range against an empty resource).
@@ -113,21 +185,22 @@ std::optional<RangeSet> parse_range_header(
 inline std::optional<ResolvedRange> resolve(const ByteRangeSpec& spec,
                                             std::uint64_t resource_size) noexcept {
   if (resource_size == 0) return std::nullopt;
-  if (spec.is_suffix()) {
-    if (*spec.suffix == 0) return std::nullopt;  // "-0" selects nothing
-    const std::uint64_t len = std::min(*spec.suffix, resource_size);
+  if (const auto suffix = spec.suffix()) {
+    if (*suffix == 0) return std::nullopt;  // "-0" selects nothing
+    const std::uint64_t len = std::min(*suffix, resource_size);
     return ResolvedRange{resource_size - len, resource_size - 1};
   }
-  if (!spec.first) return std::nullopt;
-  if (*spec.first >= resource_size) return std::nullopt;
-  const std::uint64_t last =
-      spec.last ? std::min(*spec.last, resource_size - 1) : resource_size - 1;
-  return ResolvedRange{*spec.first, last};
+  const auto first = spec.first();
+  if (!first || *first >= resource_size) return std::nullopt;
+  const auto last = spec.last();
+  const std::uint64_t final_byte = resource_size - 1;
+  return ResolvedRange{*first, last ? std::min(*last, final_byte) : final_byte};
 }
 
-/// Resolves a whole set: unsatisfiable members are dropped (RFC 7233
-/// section 4.1: the server generates parts only for satisfiable ranges).
-/// An empty result means the whole set is unsatisfiable -> 416.
+/// Resolves a whole set, one range per element (runs expanded):
+/// unsatisfiable members are dropped (RFC 7233 section 4.1: the server
+/// generates parts only for satisfiable ranges).  An empty result means the
+/// whole set is unsatisfiable -> 416.
 std::vector<ResolvedRange> resolve_all(const RangeSet& set,
                                        std::uint64_t resource_size);
 

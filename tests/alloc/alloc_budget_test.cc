@@ -1,10 +1,11 @@
 // Deterministic allocation budgets for one client transfer on the paths the
 // campaigns run: an SBR miss, a cache-pollution miss and hit, an OBR cascade
-// exchange, and an OBR exchange at a node with inline detection.  An
-// allocation count, and the bytes those allocations ask for, are exact for a
-// given toolchain and the same in Debug and Release builds, so unlike a
-// wall-time floor these bounds fail on any hardware when a change adds
-// allocations.
+// exchange at two n, and an OBR exchange at a node with inline detection;
+// and for the parse of Range values at the length guard, malformed or of
+// the most runs a value can hold.  An allocation count, and the bytes those
+// allocations ask for, are exact for a given toolchain and the same in
+// Debug and Release builds, so unlike a wall-time floor these bounds fail
+// on any hardware when a change adds allocations.
 //
 // This binary replaces the global operator new/delete with counting
 // versions, which is why it is a suite of its own.  Each test builds its
@@ -29,6 +30,7 @@
 #include "cdn/profiles.h"
 #include "core/obr.h"
 #include "core/testbed.h"
+#include "http/range.h"
 #include "net/transport_factory.h"
 #include "net/wire.h"
 #include "origin/origin_server.h"
@@ -73,15 +75,22 @@ namespace {
 constexpr int kRounds = 16;
 
 // Budgets, at most 10% above what the code allocates today with GCC 12 and
-// libstdc++: 31, 28, 8, 78 and 60 allocations, and 111 398 and 72 634 bytes
-// for the two OBR exchanges.  A cut to a count should cut its bound.
+// libstdc++: 31, 28, 8, 76, 76 and 58 allocations, and 13 061, 42 227 and
+// 7 082 bytes for the three OBR exchanges.  A cut to a count should cut its
+// bound.  Each OBR Range parse allocates one 32-byte run, whatever n is.
+// The alternating value's parse asks for 3 994 496 bytes: its 87 379 runs
+// and the 37 449 it outgrew, 32 bytes each.
 constexpr std::uint64_t kSbrMissBound = 34;
 constexpr std::uint64_t kPollutionMissBound = 30;
 constexpr std::uint64_t kPollutionHitBound = 8;
-constexpr std::uint64_t kObrBound = 85;
-constexpr std::uint64_t kObrBytesBound = 122'537;
-constexpr std::uint64_t kObrDetectionBound = 66;
-constexpr std::uint64_t kObrDetectionBytesBound = 79'897;
+constexpr std::uint64_t kObrBound = 83;
+constexpr std::uint64_t kObrBytesBound = 14'367;
+constexpr std::uint64_t kObrWorkloadBound = 83;
+constexpr std::uint64_t kObrWorkloadBytesBound = 46'449;
+constexpr std::uint64_t kObrDetectionBound = 63;
+constexpr std::uint64_t kObrDetectionBytesBound = 7'790;
+constexpr std::uint64_t kMalformedRangeBytesBound = 1024;
+constexpr std::uint64_t kAlternatingRangeBytesBound = 4'393'945;
 
 // What one exchange allocates: blocks, and the bytes they ask for.
 struct Cost {
@@ -262,9 +271,9 @@ TEST_F(PollutionAllocBudget, LegitHit) {
   EXPECT_EQ(fetches(), before);  // every one a hit
 }
 
-// run_obr_block's exchange at n = 1024: Cloudflare (bypass) in front of
-// Akamai, a 1 KiB resource, the client aborting after 4 KiB of body.
-TEST(AllocBudget, ObrCascadeExchange) {
+// run_obr_block's exchange at `n`: Cloudflare (bypass) in front of Akamai, a
+// 1 KiB resource, the client aborting after 4 KiB of body.
+Cost obr_cascade_exchange(std::size_t n, const char* what) {
   cdn::ProfileOptions fcdn_options;
   fcdn_options.cloudflare_mode = cdn::ProfileOptions::CloudflareMode::kBypass;
   core::CascadeTestbed bed(cdn::make_profile(cdn::Vendor::kCloudflare, fcdn_options),
@@ -276,7 +285,7 @@ TEST(AllocBudget, ObrCascadeExchange) {
   bed.fcdn_bcdn_traffic().set_keep_log(false);
   bed.bcdn_origin_traffic().set_keep_log(false);
 
-  ObrRequests make(cdn::Vendor::kCloudflare, 1024);
+  ObrRequests make(cdn::Vendor::kCloudflare, n);
   net::TransferOptions abort_early;
   abort_early.abort_after_body_bytes = 4096;
   const auto send = [&](const http::Request& r) {
@@ -284,16 +293,29 @@ TEST(AllocBudget, ObrCascadeExchange) {
   };
   send(make(0));
 
-  const Cost cost = fewest_per_exchange("obr cascade n=1024", make, send);
+  const Cost cost = fewest_per_exchange(what, make, send);
+  EXPECT_GT(bed.fcdn_bcdn_traffic().response_bytes(), n * 1024u);
+  return cost;
+}
+
+TEST(AllocBudget, ObrCascadeExchange) {
+  const Cost cost = obr_cascade_exchange(1024, "obr cascade n=1024");
   EXPECT_LE(cost.allocations, kObrBound);
   EXPECT_LE(cost.bytes, kObrBytesBound);
-  EXPECT_GT(bed.fcdn_bcdn_traffic().response_bytes(), 1024u * 1024);
+}
+
+// The obr-cascade benchmark workload's n: 10 746 copies of "0-", a 32 KB
+// Range value that each node parses and the FCDN spells again.
+TEST(AllocBudget, ObrCascadeExchangeAtWorkloadN) {
+  const Cost cost = obr_cascade_exchange(10'746, "obr cascade n=10746");
+  EXPECT_LE(cost.allocations, kObrWorkloadBound);
+  EXPECT_LE(cost.bytes, kObrWorkloadBytesBound);
 }
 
 // An Akamai node with inline detection answering n = 1024 overlapping ranges
 // (a 1 KiB resource, the client aborting after 4 KiB of body).  The node and
-// its detector share one parse of the Range: the byte bound has no room for
-// a second (~49 KB at this n).
+// its detector share one parse of the Range, and the detector sums the
+// selected bytes per run without building a list.
 TEST(AllocBudget, ObrExchangeWithDetection) {
   cdn::VendorProfile profile = cdn::make_profile(cdn::Vendor::kAkamai);
   profile.traits.detection.enabled = true;
@@ -316,6 +338,50 @@ TEST(AllocBudget, ObrExchangeWithDetection) {
   EXPECT_LE(cost.bytes, kObrDetectionBytesBound);
   // Every exchange, the warm-up included, fed the detector.
   EXPECT_EQ(bed.cdn().detection()->stats().samples, kRounds + 1u);
+}
+
+// One good spec and then junk up to the length guard: malformed, so the
+// parse fails at the second element.  It must cost what the one run it read
+// costs, not anything sized from the value's length.
+TEST(AllocBudget, MalformedRangeValueAllocatesLittle) {
+  std::string value = "bytes=0-,";
+  value.resize(http::kMaxRangeHeaderBytes, 'x');
+  const std::uint64_t bytes = g_bytes.load(std::memory_order_relaxed);
+  const bool parsed = http::parse_range_header(value).has_value();
+  const std::uint64_t allocated = g_bytes.load(std::memory_order_relaxed) - bytes;
+  std::printf("malformed %zu-byte Range value: %llu bytes\n", value.size(),
+              static_cast<unsigned long long>(allocated));
+  EXPECT_FALSE(parsed);
+  EXPECT_LE(allocated, kMalformedRangeBytesBound);
+}
+
+// "bytes=0-,1-,0-,..." up to the length guard, valid or with a bad last
+// element: 87 379 ranges, each a run of its own, the most runs a value can
+// hold.  The runs vector grows eightfold and never past what the rest of
+// the value can hold, so the last reservation is exact and the parse asks
+// for the final runs plus the blocks they outgrew, valid or not.
+std::uint64_t alternating_parse_bytes(bool bad_last, std::uint64_t* runs) {
+  std::string value = "bytes=0-";
+  for (std::size_t i = 1; value.size() + 3 <= http::kMaxRangeHeaderBytes; ++i) {
+    value += i % 2 ? ",1-" : ",0-";
+  }
+  if (bad_last) value.back() = 'x';
+  const std::uint64_t bytes = g_bytes.load(std::memory_order_relaxed);
+  const auto set = http::parse_range_header(value);
+  const std::uint64_t allocated = g_bytes.load(std::memory_order_relaxed) - bytes;
+  EXPECT_EQ(set.has_value(), !bad_last);
+  *runs = set ? set->runs().size() : 0;
+  std::printf("alternating %zu-byte Range value%s: %llu bytes\n", value.size(),
+              bad_last ? " with a bad last element" : "",
+              static_cast<unsigned long long>(allocated));
+  return allocated;
+}
+
+TEST(AllocBudget, AlternatingRangeValueAtTheLengthGuard) {
+  std::uint64_t runs = 0;
+  EXPECT_LE(alternating_parse_bytes(false, &runs), kAlternatingRangeBytesBound);
+  EXPECT_EQ(runs, 87'379u);
+  EXPECT_LE(alternating_parse_bytes(true, &runs), kAlternatingRangeBytesBound);
 }
 
 }  // namespace

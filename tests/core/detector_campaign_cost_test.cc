@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "core/campaign.h"
 #include "core/cost.h"
 #include "core/detector.h"
+#include "http/generator.h"
+#include "http/range.h"
 
 namespace rangeamp::core {
 namespace {
@@ -167,6 +172,57 @@ TEST(Detector, SlidingWindowForgetsOldAttack) {
   EXPECT_FALSE(detector.alarmed());
   EXPECT_EQ(detector.stats().samples, 30u);
   EXPECT_DOUBLE_EQ(detector.stats().tiny_fraction, 0.0);
+}
+
+// selected_bytes_of sums length x count per run; the resolved list it no
+// longer builds must give the same total, wrapping mod 2^64 alike, on sets
+// with unsatisfiable, suffix and repeated runs.
+TEST(Detector, SelectedBytesPerRunMatchesTheResolvedListOnSeededSets) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  http::Rng rng(31'2020);
+  // A position inside the resource, or at or past its end.
+  const auto position = [&](std::uint64_t size) -> std::uint64_t {
+    if (size == 0 || rng.chance(0.3)) return size + rng.below(3);
+    return rng.below(size);
+  };
+  EXPECT_EQ(selected_bytes_of(std::nullopt, 1024), UINT64_MAX);
+  std::size_t unsatisfiable = 0, suffix = 0, repeated = 0, wrapped = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::uint64_t size = trial % 5 == 0 ? kMax - rng.below(2)
+                               : trial % 7 == 0 ? 0
+                                                : 1 + rng.below(1u << 20);
+    http::RangeSet set;
+    const std::size_t runs = 1 + rng.below(6);
+    for (std::size_t i = 0; i < runs; ++i) {
+      http::ByteRangeSpec spec;
+      switch (rng.below(3)) {
+        case 0: {
+          const std::uint64_t a = position(size);
+          const std::uint64_t b = rng.chance(0.5) ? kMax - rng.below(2) : position(size);
+          spec = http::ByteRangeSpec::closed(std::min(a, b), std::max(a, b));
+          break;
+        }
+        case 1: spec = http::ByteRangeSpec::open(position(size)); break;
+        default: spec = http::ByteRangeSpec::suffix_of(rng.chance(0.2) ? 0 : position(size)); break;
+      }
+      const std::uint64_t count = rng.chance(0.3) ? 2 + rng.below(200) : 1;
+      unsatisfiable += !http::resolve(spec, size);
+      suffix += spec.is_suffix();
+      repeated += count > 1;
+      set.push(spec, count);
+    }
+    const auto resolved = http::resolve_all(set, size);
+    const std::uint64_t want = http::total_selected_bytes(resolved);
+    std::uint64_t exact_high = 0;  // did the sum pass 2^64?
+    std::uint64_t low = 0;
+    for (const auto& r : resolved) exact_high += __builtin_add_overflow(low, r.length(), &low);
+    wrapped += exact_high > 0;
+    ASSERT_EQ(selected_bytes_of(set, size), want) << "trial " << trial;
+  }
+  EXPECT_GT(unsatisfiable, 100u);
+  EXPECT_GT(suffix, 100u);
+  EXPECT_GT(repeated, 100u);
+  EXPECT_GT(wrapped, 10u);
 }
 
 // ---------------------------------------------------------------------------
