@@ -221,6 +221,36 @@ void BM_CacheHitServe(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheHitServe);
 
+// run_pollution_block's node: one Akamai node under an 8 MiB S3-FIFO budget,
+// a 256 KiB attack object and 16 KiB catalog objects, every log off.  Each
+// iteration is one bytes=0-0 miss on a fresh ?x= key and one 16 KiB hit.
+void BM_PollutionExchange(benchmark::State& state) {
+  cdn::VendorProfile profile = cdn::make_profile(cdn::Vendor::kAkamai);
+  profile.traits.cache.max_bytes = 8u << 20;
+  profile.traits.cache.policy = cdn::CacheEvictionPolicy::kS3Fifo;
+  core::SingleCdnTestbed bed(std::move(profile));
+  bed.origin().resources().add_synthetic("/target.bin", 256 * 1024,
+                                         "application/octet-stream");
+  bed.origin().resources().add_synthetic("/obj/0", 16 * 1024,
+                                         "application/octet-stream");
+  bed.origin().set_keep_log(false);
+  bed.client_traffic().set_keep_log(false);
+  bed.origin_traffic().set_keep_log(false);
+  const http::Request hit = http::make_get("shop.example.com", "/obj/0");
+  bed.send(hit);  // warm the cache
+  std::uint64_t next = 0;
+  for (auto _ : state) {
+    auto attack = http::make_get("shop.example.com",
+                                 "/target.bin?x=" + std::to_string(next++));
+    attack.headers.add("Range", "bytes=0-0");
+    auto miss = bed.send(attack);
+    benchmark::DoNotOptimize(miss);
+    auto response = bed.send(hit);
+    benchmark::DoNotOptimize(response);
+  }
+}
+BENCHMARK(BM_PollutionExchange);
+
 void BM_HpackEncodeRequestHeaders(benchmark::State& state) {
   http2::Encoder encoder;
   const std::vector<http2::HeaderEntry> headers = {

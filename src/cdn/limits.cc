@@ -11,9 +11,10 @@ std::optional<std::string> check_request_limits(const RequestHeaderLimits& limit
            std::to_string(*limits.total_header_bytes);
   }
   if (limits.single_header_line_bytes) {
-    for (const auto& f : request.headers.fields()) {
+    for (const auto f : request.headers) {
       if (f.line_size() > *limits.single_header_line_bytes) {
-        return "header '" + f.name + "' line size " + std::to_string(f.line_size()) +
+        return "header '" + std::string{f.name} + "' line size " +
+               std::to_string(f.line_size()) +
                " exceeds limit " + std::to_string(*limits.single_header_line_bytes);
       }
     }

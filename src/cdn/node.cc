@@ -1,9 +1,11 @@
 #include "cdn/node.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <charconv>
 #include <cstdio>
+#include <span>
 
 #include "cdn/limits.h"
 #include "http/chunked.h"
@@ -41,55 +43,83 @@ void write_serial(char* out, std::uint64_t serial) {
   std::copy(digits, end, out + zeros);
 }
 
+// Appends "Via: 1.1 <node_id>" (RFC 7230 section 5.7.1), written in place.
+void add_via(Headers& headers, std::string_view node_id) {
+  constexpr std::string_view kProtocol = "1.1 ";
+  char* value = headers.add_value("Via", kProtocol.size() + node_id.size());
+  std::copy(node_id.begin(), node_id.end(),
+            std::copy(kProtocol.begin(), kProtocol.end(), value));
+}
+
 // Builds a vendor-styled response: status line, Date, identity headers,
 // content headers, Accept-Ranges and the calibration pad.  Shared between
 // CdnNode and calibrate_response_pad() so calibration measures exactly what
-// the node emits.  A pad of 16 bytes or more opens with `serial`.
+// the node emits.  A pad of 16 bytes or more opens with `serial`.  The
+// block is sized before its first field, so it costs one allocation.
 Response styled_response(const VendorTraits& traits, int status,
-                         Headers content_headers, Body body,
+                         std::span<const http::HeaderField> content, Body body,
                          std::uint64_t serial) {
+  // RFC 7230 section 5.7.1: intermediaries append themselves on responses
+  // too.  The line is serialized like any other header, so it participates
+  // in every segment's byte accounting.
+  const bool via = traits.emit_via && !traits.node_id.empty();
+  const std::size_t pad = traits.response_pad_bytes;
+  std::size_t bytes = Headers::field_bytes("Date", traits.date.size()) +
+                      traits.response_identity_headers.serialized_size() +
+                      Headers::field_bytes("Accept-Ranges", 5);
+  if (via) bytes += Headers::field_bytes("Via", 4 + traits.node_id.size());
+  for (const auto& f : content) bytes += Headers::field_bytes(f.name, f.value.size());
+  if (pad > 0) bytes += Headers::field_bytes(kPadHeaderName, pad);
+
   Response resp;
   resp.status = status;
-  // Date, Via, Accept-Ranges and the pad frame the identity and content
-  // fields.
-  resp.headers.reserve(traits.response_identity_headers.size() +
-                       content_headers.size() + 4);
+  resp.headers.reserve(bytes);
   resp.headers.add("Date", traits.date);
-  for (const auto& f : traits.response_identity_headers) {
-    resp.headers.add(f.name, f.value);
-  }
-  if (traits.emit_via && !traits.node_id.empty()) {
-    // RFC 7230 section 5.7.1: intermediaries append themselves on responses
-    // too.  The line is serialized like any other header, so it participates
-    // in every segment's byte accounting.
-    resp.headers.add("Via", "1.1 " + traits.node_id);
-  }
-  resp.headers.append(std::move(content_headers));
+  resp.headers.append(traits.response_identity_headers);
+  if (via) add_via(resp.headers, traits.node_id);
+  for (const auto& f : content) resp.headers.add(f.name, f.value);
   resp.headers.add("Accept-Ranges", "bytes");
-  if (traits.response_pad_bytes > 0) {
-    std::string pad(traits.response_pad_bytes, 'x');
-    if (pad.size() >= 16) write_serial(pad.data(), serial);
-    resp.headers.add(std::string{kPadHeaderName}, std::move(pad));
+  if (pad > 0) {
+    char* value = resp.headers.add_value(kPadHeaderName, pad);
+    std::fill_n(value, pad, 'x');
+    if (pad >= 16) write_serial(value, serial);
   }
   resp.body = std::move(body);
   return resp;
 }
 
 // The content fields of a served representation, in wire order: the
-// validators it has, Content-Length, Content-Range (when not empty) and
-// Content-Type.
-Headers content_fields(std::string_view last_modified, std::string_view etag,
-                       std::uint64_t length, std::string content_range,
-                       std::string content_type) {
-  Headers h;
-  h.reserve(5);
-  if (!last_modified.empty()) h.add("Last-Modified", std::string{last_modified});
-  if (!etag.empty()) h.add("ETag", std::string{etag});
-  h.add("Content-Length", std::to_string(length));
-  if (!content_range.empty()) h.add("Content-Range", std::move(content_range));
-  h.add("Content-Type", std::move(content_type));
-  return h;
-}
+// validators it has, Content-Length, Content-Range (for a single range) and
+// Content-Type.  The fields view their arguments, and the two numbers are
+// spelled into the object, so it is built where it is used.
+class ContentFields {
+ public:
+  ContentFields(std::string_view last_modified, std::string_view etag,
+                std::uint64_t length, std::string_view content_type,
+                const ResolvedRange* range = nullptr, std::uint64_t total = 0) {
+    if (!last_modified.empty()) fields_[count_++] = {"Last-Modified", last_modified};
+    if (!etag.empty()) fields_[count_++] = {"ETag", etag};
+    const char* end = std::to_chars(length_, length_ + sizeof length_, length).ptr;
+    fields_[count_++] = {"Content-Length", {length_, end}};
+    if (range != nullptr) {
+      end = http::write_content_range(range_, *range, total);
+      fields_[count_++] = {"Content-Range", {range_, end}};
+    }
+    fields_[count_++] = {"Content-Type", content_type};
+  }
+  ContentFields(const ContentFields&) = delete;
+  ContentFields& operator=(const ContentFields&) = delete;
+
+  operator std::span<const http::HeaderField>() const noexcept {
+    return {fields_.data(), count_};
+  }
+
+ private:
+  std::array<http::HeaderField, 5> fields_;
+  std::size_t count_ = 0;
+  char length_[20];
+  char range_[http::kContentRangeMaxBytes];
+};
 
 }  // namespace
 
@@ -595,23 +625,33 @@ Request CdnNode::build_upstream_request(const Request& client_request,
   Request upstream_request;
   upstream_request.method = method_override;
   upstream_request.target = client_request.target;
-  // CDN-Loop, Via and Range, plus the deadline and attempt stamps
-  // fetch_result sets per attempt.
-  upstream_request.headers.reserve(client_request.headers.size() +
-                                   traits_.forward_headers.size() + 5);
-  for (const auto& f : client_request.headers.fields()) {
-    if (http::iequals(f.name, "Range") || is_hop_by_hop(f.name)) continue;
-    // The deadline/attempt headers are hop-by-hop too: each hop re-stamps
-    // its own values per attempt (fetch_result), never relays the client's.
-    if (http::iequals(f.name, kDeadlineBudgetHeader) ||
-        http::iequals(f.name, kAttemptCountHeader)) {
-      continue;
-    }
-    upstream_request.headers.add(f.name, f.value);
+  // The client's Range and hop-by-hop fields stay on this hop.  So do the
+  // deadline/attempt headers: each hop re-stamps its own values per attempt
+  // (fetch_result), never relays the client's.
+  const auto relayed = [](std::string_view name) {
+    return !http::iequals(name, "Range") && !is_hop_by_hop(name) &&
+           !http::iequals(name, kDeadlineBudgetHeader) &&
+           !http::iequals(name, kAttemptCountHeader);
+  };
+  // Sized once: the relayed fields, the forward block, CDN-Loop, Via and the
+  // Range.
+  std::size_t bytes = client_request.headers.serialized_size() +
+                      traits_.forward_headers.serialized_size();
+  for (const auto f : client_request.headers) {
+    if (!relayed(f.name)) bytes -= Headers::field_bytes(f.name, f.value.size());
   }
-  for (const auto& f : traits_.forward_headers) {
-    upstream_request.headers.add(f.name, f.value);
+  if (traits_.shield.loop.enabled) {
+    bytes += Headers::field_bytes("CDN-Loop", loop_token_.size());
   }
+  if (traits_.emit_via) bytes += Headers::field_bytes("Via", 4 + traits_.node_id.size());
+  const std::size_t range_size = range ? range->string_size() : 0;
+  if (range) bytes += Headers::field_bytes("Range", range_size);
+  Headers& headers = upstream_request.headers;
+  headers.reserve(bytes);
+  for (const auto f : client_request.headers) {
+    if (relayed(f.name)) headers.add(f.name, f.value);
+  }
+  headers.append(traits_.forward_headers);
   if (traits_.shield.loop.enabled) {
     // RFC 8586: every forwarding CDN appends its cdn-id.  Incoming CDN-Loop
     // fields were copied through above, so the chain accumulates hop by hop.
@@ -619,20 +659,17 @@ Request CdnNode::build_upstream_request(const Request& client_request,
     // the canonical forward_headers; skip the append rather than name this
     // hop twice.
     bool already_listed = false;
-    for (const std::string_view value :
-         upstream_request.headers.get_all("CDN-Loop")) {
+    for (const std::string_view value : headers.get_all("CDN-Loop")) {
       const auto parsed = parse_cdn_loop(value);
       if (parsed && cdn_loop_contains(*parsed, loop_token_)) {
         already_listed = true;
         break;
       }
     }
-    if (!already_listed) upstream_request.headers.add("CDN-Loop", loop_token_);
+    if (!already_listed) headers.add("CDN-Loop", loop_token_);
   }
-  if (traits_.emit_via) {
-    upstream_request.headers.add("Via", "1.1 " + traits_.node_id);
-  }
-  if (range) upstream_request.headers.add("Range", range->to_string());
+  if (traits_.emit_via) add_via(headers, traits_.node_id);
+  if (range) range->write(headers.add_value("Range", range_size));
   return upstream_request;
 }
 
@@ -684,8 +721,7 @@ Response CdnNode::fetch(const Request& client_request,
     Response failed;
     failed.status = status;
     failed.headers.add("Content-Length", "0");
-    failed.headers.add("X-Transfer-Error",
-                       std::string{net::transfer_error_name(result.error->kind)});
+    failed.headers.add("X-Transfer-Error", net::transfer_error_name(result.error->kind));
     return failed;
   }
   return std::move(result.response);
@@ -792,18 +828,16 @@ FetchResult CdnNode::fetch_result(const Request& client_request,
         deadline_binds = true;
       }
       if (dlp.propagate) {
-        upstream_request.headers.set(
-            std::string{kDeadlineBudgetHeader},
-            format_deadline_budget(*deadline_remaining_));
+        upstream_request.headers.set(kDeadlineBudgetHeader,
+                                     format_deadline_budget(*deadline_remaining_));
       }
     }
     if (rbp.enabled && rbp.count_chain_attempts) {
       // x-envoy-attempt-count semantics: the chain-wide attempt number of
       // this leg, so the next hop can charge retried requests against its
       // own budget.
-      upstream_request.headers.set(
-          std::string{kAttemptCountHeader},
-          std::to_string(incoming_attempt_count_ + attempt));
+      upstream_request.headers.set(kAttemptCountHeader,
+                                   std::to_string(incoming_attempt_count_ + attempt));
     }
     if (attempt == 0 && rbp.enabled) {
       overload_.note_first_attempt(now);
@@ -1080,23 +1114,40 @@ std::optional<CachedEntity> CdnNode::entity_from_response(const Response& upstre
 
 namespace {
 
-// Joins the request's values of the headers a Vary list names.
-std::string variant_of(const Request& request, std::string_view vary) {
-  std::string out;
+// Calls `visit` on each member of a Vary list, with the optional whitespace
+// around it (SP or HTAB, RFC 9110 section 5.6.1) trimmed; empty members are
+// skipped.
+template <typename Visit>
+void for_each_vary_member(std::string_view vary, Visit visit) {
+  const auto ows = [](char c) { return c == ' ' || c == '\t'; };
   std::size_t pos = 0;
   while (pos <= vary.size()) {
     auto comma = vary.find(',', pos);
     if (comma == std::string_view::npos) comma = vary.size();
-    std::string_view name = vary.substr(pos, comma - pos);
-    while (!name.empty() && name.front() == ' ') name.remove_prefix(1);
-    while (!name.empty() && name.back() == ' ') name.remove_suffix(1);
-    if (!name.empty()) {
-      out.append(request.headers.get_or(name, ""));
-      out.push_back('\x1f');
-    }
+    std::string_view member = vary.substr(pos, comma - pos);
+    while (!member.empty() && ows(member.front())) member.remove_prefix(1);
+    while (!member.empty() && ows(member.back())) member.remove_suffix(1);
+    if (!member.empty()) visit(member);
     pos = comma + 1;
   }
+}
+
+// Joins the request's values of the headers a Vary list names.
+std::string variant_of(const Request& request, std::string_view vary) {
+  std::string out;
+  for_each_vary_member(vary, [&](std::string_view name) {
+    out.append(request.headers.get_or(name, ""));
+    out.push_back('\x1f');
+  });
   return out;
+}
+
+// RFC 9111 section 4.1: a stored response whose Vary has the member "*"
+// never matches a later request.
+bool varies_on_everything(std::string_view vary) {
+  bool star = false;
+  for_each_vary_member(vary, [&](std::string_view member) { star |= member == "*"; });
+  return star;
 }
 
 }  // namespace
@@ -1139,6 +1190,7 @@ void CdnNode::store(const Request& request, CachedEntity entity) {
   if (traits_.cache_ttl_seconds > 0 && clock_) {
     entity.expires_at = clock_() + traits_.cache_ttl_seconds;
   }
+  if (varies_on_everything(entity.vary)) return;  // could never be served
   std::string key = cache_key(request);
   if (!entity.vary.empty()) {
     CachedEntity marker;
@@ -1154,11 +1206,10 @@ void CdnNode::store(const Request& request, CachedEntity entity) {
 }
 
 Response CdnNode::respond_416(std::uint64_t total_size) {
-  Headers content;
-  content.reserve(2);
-  content.add("Content-Range", http::content_range_unsatisfied(total_size));
-  content.add("Content-Length", "0");
-  return style(http::kRangeNotSatisfiable, std::move(content), Body{});
+  const std::string unsatisfied = http::content_range_unsatisfied(total_size);
+  const http::HeaderField content[] = {{"Content-Range", unsatisfied},
+                                       {"Content-Length", "0"}};
+  return style(http::kRangeNotSatisfiable, content, Body{});
 }
 
 Response CdnNode::respond_entity(const CachedEntity& entity,
@@ -1179,15 +1230,10 @@ Response CdnNode::serve(const WindowRef& window, const RangeSet* range) {
   const std::uint64_t win_first = window.offset;
   const std::uint64_t win_size = window.body.size();
 
-  const auto content = [&](std::uint64_t length, std::string content_range,
-                           std::string content_type) {
-    return content_fields(window.last_modified, window.etag, length,
-                          std::move(content_range), std::move(content_type));
-  };
   const auto single = [&](const ResolvedRange& r) {
     return style(http::kPartialContent,
-                 content(r.length(), http::content_range(r, total),
-                         window.content_type),
+                 ContentFields(window.last_modified, window.etag, r.length(),
+                               window.content_type, &r, total),
                  window.body.slice(r.first - win_first, r.length()));
   };
   const auto multipart = [&](std::vector<http::RunPart> parts) {
@@ -1201,7 +1247,9 @@ Response CdnNode::serve(const WindowRef& window, const RangeSet* range) {
     if (win_first != 0 || win_size != total) {
       return error(http::kBadGateway, "policy requires full entity not held");
     }
-    return style(http::kOk, content(total, {}, window.content_type),
+    return style(http::kOk,
+                 ContentFields(window.last_modified, window.etag, total,
+                               window.content_type),
                  window.body);
   };
   const auto held = [&](const ResolvedRange& r) {
@@ -1283,9 +1331,8 @@ Response CdnNode::respond_assembled(
   if (parts.size() == 1) {
     auto& [r, payload] = parts.front();
     return style(http::kPartialContent,
-                 content_fields(last_modified, etag, r.length(),
-                                http::content_range(r, total_size),
-                                content_type),
+                 ContentFields(last_modified, etag, r.length(), content_type, &r,
+                               total_size),
                  std::move(payload));
   }
   Body source;
@@ -1310,9 +1357,8 @@ Response CdnNode::respond_multipart(Body body, const std::string& last_modified,
   const std::uint64_t size = body.size();  // one run chunk: O(1)
   if (auto over = check_assembly_budget(size)) return std::move(*over);
   return style(http::kPartialContent,
-               content_fields(last_modified, etag, size, {},
-                              http::multipart_content_type(
-                                  traits_.multipart_boundary)),
+               ContentFields(last_modified, etag, size,
+                             http::multipart_content_type(traits_.multipart_boundary)),
                std::move(body));
 }
 
@@ -1320,24 +1366,23 @@ Response CdnNode::relay(Response upstream) {
   constexpr std::string_view kRelayed[] = {
       "Last-Modified", "ETag",         "Content-Length",
       "Content-Range", "Content-Type", "Transfer-Encoding"};
-  Headers content;
-  content.reserve(std::size(kRelayed));
+  std::array<http::HeaderField, std::size(kRelayed)> content;
+  std::size_t count = 0;
   for (const std::string_view name : kRelayed) {
-    if (const auto v = upstream.headers.get(name)) {
-      content.add(std::string{name}, std::string{*v});
-    }
+    if (const auto v = upstream.headers.get(name)) content[count++] = {name, *v};
   }
-  return style(upstream.status, std::move(content), std::move(upstream.body));
+  return style(upstream.status, std::span{content.data(), count},
+               std::move(upstream.body));
 }
 
 Response CdnNode::error(int status, std::string_view note) {
   Body body = Body::literal(std::string{note});
   const std::uint64_t length = body.size();
-  return style(status, content_fields({}, {}, length, {}, "text/plain"),
-               std::move(body));
+  return style(status, ContentFields({}, {}, length, "text/plain"), std::move(body));
 }
 
-Response CdnNode::style(int status, Headers content_headers, Body body) const {
+Response CdnNode::style(int status, std::span<const http::HeaderField> content,
+                        Body body) const {
   // Real CDN trace ids (CF-Ray, X-Amz-Cf-Id, ...) differ per response.  The
   // serial at the head of the pad varies it the same way -- same length, so
   // HTTP/1.1 byte counts (and the Table IV calibration) are untouched, but
@@ -1345,8 +1390,7 @@ Response CdnNode::style(int status, Headers content_headers, Body body) const {
   // production.
   const std::uint64_t serial =
       traits_.response_pad_bytes >= 16 ? ++response_serial_ : 0;
-  return styled_response(traits_, status, std::move(content_headers),
-                         std::move(body), serial);
+  return styled_response(traits_, status, content, std::move(body), serial);
 }
 
 std::size_t calibrate_response_pad(const VendorTraits& traits) {
@@ -1356,14 +1400,15 @@ std::size_t calibrate_response_pad(const VendorTraits& traits) {
   // model emits).
   VendorTraits probe = traits;
   probe.response_pad_bytes = 0;
-  Headers content;
-  content.add("Last-Modified", "Mon, 06 Jul 2020 11:22:33 GMT");
-  content.add("ETag", "\"3a7f52-1900000\"");
-  content.add("Content-Length", "1");
-  content.add("Content-Range", "bytes 0-0/26214400");
-  content.add("Content-Type", "application/octet-stream");
-  const Response canonical = styled_response(
-      probe, http::kPartialContent, std::move(content), Body::literal("x"), 0);
+  const http::HeaderField content[] = {
+      {"Last-Modified", "Mon, 06 Jul 2020 11:22:33 GMT"},
+      {"ETag", "\"3a7f52-1900000\""},
+      {"Content-Length", "1"},
+      {"Content-Range", "bytes 0-0/26214400"},
+      {"Content-Type", "application/octet-stream"},
+  };
+  const Response canonical = styled_response(probe, http::kPartialContent, content,
+                                             Body::literal("x"), 0);
   const std::uint64_t base = http::serialized_size(canonical);
   if (traits.client_response_target_bytes <= base) return 0;
   const std::uint64_t diff = traits.client_response_target_bytes - base;

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "cdn/cache.h"
@@ -280,7 +281,7 @@ class CdnNode final : public net::HttpHandler {
                                        http::Method method_override) const;
   net::TransferOutcome upstream_transfer(const http::Request& upstream_request,
                                          const net::TransferOptions& options);
-  http::Response style(int status, http::Headers content_headers,
+  http::Response style(int status, std::span<const http::HeaderField> content,
                        http::Body body) const;
   http::Response respond_416(std::uint64_t total_size);
   /// A representation window held by reference: `body` covers bytes

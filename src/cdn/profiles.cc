@@ -9,7 +9,6 @@
 namespace rangeamp::cdn {
 
 using http::ByteRangeSpec;
-using http::HeaderField;
 using http::RangeSet;
 using http::Request;
 using http::Response;
@@ -29,28 +28,24 @@ std::optional<std::uint64_t> parse_u64(std::string_view s) {
 // what differentiates the max n per cascade in Table V, so it is calibrated
 // like the response pad.
 void pad_forward_headers(VendorTraits& traits, std::size_t target_bytes) {
-  std::size_t current = 0;
-  for (const auto& f : traits.forward_headers) current += f.line_size() + 2;
+  const std::size_t current = traits.forward_headers.serialized_size();
   constexpr std::string_view kName = "X-Edge-Req-Trace";
-  const std::size_t overhead = kName.size() + 4;  // ": " + CRLF
+  const std::size_t overhead = http::Headers::field_bytes(kName, 0);
   if (current + overhead >= target_bytes) return;
-  traits.forward_headers.push_back(
-      {std::string{kName}, std::string(target_bytes - current - overhead, 'r')});
+  const std::size_t pad = target_bytes - current - overhead;
+  std::fill_n(traits.forward_headers.add_value(kName, pad), pad, 'r');
 }
 
 // Appends extra per-part headers so each multipart part carries
 // `target_bytes` of framing beyond boundary/Content-Type/Content-Range
 // (Azure's verbose part framing, calibrated to Table V).
 void pad_part_headers(VendorTraits& traits, std::size_t target_bytes) {
-  std::size_t current = 0;
-  for (const auto& f : traits.multipart_part_extra_headers) {
-    current += f.line_size() + 2;
-  }
+  const std::size_t current = traits.multipart_part_extra_headers.serialized_size();
   constexpr std::string_view kName = "X-Part-Trace";
-  const std::size_t overhead = kName.size() + 4;
+  const std::size_t overhead = http::Headers::field_bytes(kName, 0);
   if (current + overhead >= target_bytes) return;
-  traits.multipart_part_extra_headers.push_back(
-      {std::string{kName}, std::string(target_bytes - current - overhead, 'p')});
+  const std::size_t pad = target_bytes - current - overhead;
+  std::fill_n(traits.multipart_part_extra_headers.add_value(kName, pad), pad, 'p');
 }
 
 // ---------------------------------------------------------------------------

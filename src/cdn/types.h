@@ -460,7 +460,7 @@ struct VendorTraits {
 
   /// Identity headers this vendor adds to every client-facing response
   /// (Server banner, trace ids, cache status...).  Order is preserved.
-  std::vector<http::HeaderField> response_identity_headers;
+  http::Headers response_identity_headers;
 
   /// Calibration: total serialized size (status line + headers + 1-byte
   /// body) of this vendor's canonical single-range 206 response, fitted so
@@ -470,7 +470,7 @@ struct VendorTraits {
   /// Headers added to every back-to-origin request (Via, X-Forwarded-For,
   /// ...).  Their size participates in the *next* hop's ingress limits,
   /// which is what differentiates the max n per FCDN in Table V.
-  std::vector<http::HeaderField> forward_headers;
+  http::Headers forward_headers;
 
   /// Boundary string used for multipart/byteranges responses built by this
   /// vendor.  Lengths are calibrated so the per-part framing overhead matches
@@ -479,7 +479,7 @@ struct VendorTraits {
 
   /// Extra headers this vendor writes into every part of a multipart
   /// response (Azure's verbose per-part framing).
-  std::vector<http::HeaderField> multipart_part_extra_headers;
+  http::Headers multipart_part_extra_headers;
 
   /// How multi-range requests are answered from a held entity.
   MultiRangeReplyPolicy multi_reply = MultiRangeReplyPolicy::kCoalesce;

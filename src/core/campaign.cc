@@ -949,13 +949,11 @@ GossipDetectionResult run_gossip_detection_campaign(
       // would collaterally block.
       request = http::make_get("shop.example.com", "/target.bin");
       request.headers.add("Range", "bytes=0-1");
-      request.headers.add(std::string(cdn::kClientKeyHeader),
-                          "u" + std::to_string(ex.user));
+      request.headers.add(cdn::kClientKeyHeader, "u" + std::to_string(ex.user));
     } else {
       request = http::make_get("shop.example.com",
                                "/obj/" + std::to_string(ex.object));
-      request.headers.add(std::string(cdn::kClientKeyHeader),
-                          "u" + std::to_string(ex.user));
+      request.headers.add(cdn::kClientKeyHeader, "u" + std::to_string(ex.user));
     }
 
     const std::uint64_t upstream_before =

@@ -51,11 +51,9 @@ bool valid_boundary(std::string_view b) noexcept {
 MultipartWriter::MultipartWriter(std::string_view boundary,
                                  std::string_view content_type,
                                  std::uint64_t resource_size,
-                                 std::span<const HeaderField> extra_headers) {
+                                 const Headers& extra_headers) {
   head_prefix_.append("\r\n--").append(boundary).append("\r\n");
-  for (const auto& f : extra_headers) {
-    head_prefix_.append(f.name).append(": ").append(f.value).append("\r\n");
-  }
+  head_prefix_.append(extra_headers.wire());
   head_prefix_.append("Content-Type: ").append(content_type).append("\r\n");
   head_prefix_.append("Content-Range: bytes ");
   head_suffix_.append("/").append(std::to_string(resource_size)).append("\r\n\r\n");

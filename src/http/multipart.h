@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -84,7 +83,7 @@ class MultipartWriter {
  public:
   MultipartWriter(std::string_view boundary, std::string_view content_type,
                   std::uint64_t resource_size,
-                  std::span<const HeaderField> extra_headers = {});
+                  const Headers& extra_headers = {});
 
   /// Exact size of the body whose parts are `ranges`, each carrying
   /// r.length() payload bytes.

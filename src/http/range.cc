@@ -123,26 +123,30 @@ std::string ByteRangeSpec::to_string() const {
   return out;
 }
 
-std::string RangeSet::to_string() const {
-  // Sized exactly, in one pass over the runs.  A run's first element is
-  // spelled once; its other copies, each a comma and that spelling, are
-  // filled by memcpy calls that double the bytes written.
-  constexpr std::string_view kUnit = "bytes=";
-  std::size_t size = kUnit.size();
+std::size_t RangeSet::string_size() const {
+  constexpr std::size_t kUnit = 6;  // "bytes="
+  std::size_t size = kUnit;
   for (const RangeRun& run : runs_) {
     const std::size_t period = spec_size(run.spec) + 1;  // with its comma
     if (run.count > (std::numeric_limits<std::size_t>::max() - size) / period) {
-      throw std::length_error("RangeSet::to_string: value too long");
+      throw std::length_error("RangeSet: value too long");
     }
     size += run.count * period;
   }
-  std::string out(size - !runs_.empty(), '\0');  // no comma before the first
-  char* p = std::copy(kUnit.begin(), kUnit.end(), out.data());
-  char* const end = out.data() + out.size();
+  return size - !runs_.empty();  // no comma before the first
+}
+
+char* RangeSet::write(char* out) const {
+  // One pass over the runs.  A run's first element is spelled once; its
+  // other copies, each a comma and that spelling, are filled by memcpy calls
+  // that double the bytes written.
+  constexpr std::string_view kUnit = "bytes=";
+  char* p = std::copy(kUnit.begin(), kUnit.end(), out);
+  char* const value = p;
   for (const RangeRun& run : runs_) {
-    if (p != out.data() + kUnit.size()) *p++ = ',';
+    if (p != value) *p++ = ',';
     char* const spelled = p;
-    p = write_spec(p, end, run.spec);
+    p = write_spec(p, p + 41, run.spec);  // "first-last": at most 41 bytes
     const auto period = static_cast<std::size_t>(p - spelled) + 1;
     const std::size_t copies = (run.count - 1) * period;
     if (copies == 0) continue;
@@ -155,6 +159,12 @@ std::string RangeSet::to_string() const {
     }
     p += copies;
   }
+  return p;
+}
+
+std::string RangeSet::to_string() const {
+  std::string out(string_size(), '\0');
+  write(out.data());
   return out;
 }
 
@@ -324,14 +334,20 @@ std::uint64_t total_selected_bytes(const std::vector<ResolvedRange>& ranges) {
   return total;
 }
 
+char* write_content_range(char* out, const ResolvedRange& r,
+                          std::uint64_t resource_size) noexcept {
+  constexpr std::string_view kUnit = "bytes ";
+  char* p = std::copy(kUnit.begin(), kUnit.end(), out);
+  p = std::to_chars(p, p + 20, r.first).ptr;
+  *p++ = '-';
+  p = std::to_chars(p, p + 20, r.last).ptr;
+  *p++ = '/';
+  return std::to_chars(p, p + 20, resource_size).ptr;
+}
+
 std::string content_range(const ResolvedRange& r, std::uint64_t resource_size) {
-  std::string out = "bytes ";
-  append_u64(out, r.first);
-  out.push_back('-');
-  append_u64(out, r.last);
-  out.push_back('/');
-  append_u64(out, resource_size);
-  return out;
+  char value[kContentRangeMaxBytes];
+  return {value, write_content_range(value, r, resource_size)};
 }
 
 std::string content_range_unsatisfied(std::uint64_t resource_size) {

@@ -169,6 +169,13 @@ class RangeSet {
   /// Header value spelling: "bytes=spec1,spec2,...", every repeat spelled.
   std::string to_string() const;
 
+  /// Exact bytes of to_string(), counted per run without writing.  Throws
+  /// std::length_error when the spelling would not fit in memory.
+  std::size_t string_size() const;
+
+  /// Writes to_string()'s string_size() bytes at `out` and returns the end.
+  char* write(char* out) const;
+
   bool operator==(const RangeSet&) const = default;
 
  private:
@@ -221,6 +228,15 @@ std::uint64_t total_selected_bytes(const std::vector<ResolvedRange>& ranges);
 
 /// Formats a Content-Range value: "bytes first-last/size".
 std::string content_range(const ResolvedRange& r, std::uint64_t resource_size);
+
+/// The most bytes a Content-Range value takes: "bytes ", three 20-digit
+/// numbers and the '-' and '/' between them.
+inline constexpr std::size_t kContentRangeMaxBytes = 6 + 3 * 20 + 2;
+
+/// Writes content_range()'s bytes at `out`, which has room for
+/// kContentRangeMaxBytes, and returns the end.
+char* write_content_range(char* out, const ResolvedRange& r,
+                          std::uint64_t resource_size) noexcept;
 
 /// Formats an unsatisfied Content-Range value: "bytes */size" (416 responses).
 std::string content_range_unsatisfied(std::uint64_t resource_size);

@@ -26,7 +26,7 @@ bool parse_header_block(std::string_view bytes, std::size_t& cursor, Headers& ou
     while (!value.empty() && (value.back() == ' ' || value.back() == '\t')) {
       value.remove_suffix(1);
     }
-    out.add(std::string{name}, std::string{value});
+    out.add(name, value);
     cursor = eol + 2;
   }
 }
@@ -69,9 +69,7 @@ std::string to_bytes(const Request& req) {
   out.push_back(' ');
   out.append(req.version);
   out.append("\r\n");
-  for (const auto& f : req.headers) {
-    out.append(f.name).append(": ").append(f.value).append("\r\n");
-  }
+  out.append(req.headers.wire());
   out.append("\r\n");
   out.append(req.body.materialize());
   return out;
@@ -86,9 +84,7 @@ std::string to_bytes(const Response& resp) {
   out.push_back(' ');
   out.append(reason_phrase(resp.status));
   out.append("\r\n");
-  for (const auto& f : resp.headers) {
-    out.append(f.name).append(": ").append(f.value).append("\r\n");
-  }
+  out.append(resp.headers.wire());
   out.append("\r\n");
   out.append(resp.body.materialize());
   return out;

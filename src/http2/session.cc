@@ -30,10 +30,10 @@ std::vector<HeaderEntry> request_header_list(const http::Request& request) {
   list.push_back({":scheme", "https"});
   list.push_back({":authority", std::string{request.headers.get_or("Host", "")}});
   list.push_back({":path", request.target});
-  for (const auto& f : request.headers) {
-    const std::string name = lowercase(f.name);
+  for (const auto f : request.headers) {
+    std::string name = lowercase(f.name);
     if (name == "host" || connection_specific(name)) continue;
-    list.push_back({name, f.value});
+    list.push_back({std::move(name), std::string{f.value}});
   }
   return list;
 }
@@ -41,10 +41,10 @@ std::vector<HeaderEntry> request_header_list(const http::Request& request) {
 std::vector<HeaderEntry> response_header_list(const http::Response& response) {
   std::vector<HeaderEntry> list;
   list.push_back({":status", std::to_string(response.status)});
-  for (const auto& f : response.headers) {
-    const std::string name = lowercase(f.name);
+  for (const auto f : response.headers) {
+    std::string name = lowercase(f.name);
     if (connection_specific(name)) continue;
-    list.push_back({name, f.value});
+    list.push_back({std::move(name), std::string{f.value}});
   }
   return list;
 }

@@ -26,8 +26,8 @@ std::string Transcript::render(std::size_t body_preview) const {
     out += "=== " + e.segment + " ===\n";
     out += "> " + std::string{http::method_name(e.request.method)} + " " +
            e.request.target + " " + e.request.version + "\n";
-    for (const auto& f : e.request.headers) {
-      out += "> " + f.name + ": " + f.value + "\n";
+    for (const auto f : e.request.headers) {
+      out.append("> ").append(f.name).append(": ").append(f.value).append("\n");
     }
     if (e.request.body.size() > 0) {
       out += "> [" + std::to_string(e.request.body.size()) + " body bytes]\n";
@@ -35,8 +35,8 @@ std::string Transcript::render(std::size_t body_preview) const {
     out += "\n";
     out += "< " + e.response.version + " " + std::to_string(e.response.status) +
            " " + std::string{http::reason_phrase(e.response.status)} + "\n";
-    for (const auto& f : e.response.headers) {
-      out += "< " + f.name + ": " + f.value + "\n";
+    for (const auto f : e.response.headers) {
+      out.append("< ").append(f.name).append(": ").append(f.value).append("\n");
     }
     const std::uint64_t body = e.response.body.size();
     out += "< [" + std::to_string(body) + " body bytes";

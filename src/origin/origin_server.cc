@@ -1,5 +1,7 @@
 #include "origin/origin_server.h"
 
+#include <charconv>
+
 #include "http/chunked.h"
 #include "http/date.h"
 #include "http/multipart.h"
@@ -11,35 +13,53 @@ using http::Body;
 using http::Request;
 using http::Response;
 
-void OriginServer::add_common_headers(Response& resp,
-                                      std::size_t own_fields) const {
-  resp.headers.reserve(2 + config_.extra_headers.size() + own_fields);
+namespace {
+
+// The decimal spelling of `v`, written into `out`.
+std::string_view decimal(char (&out)[20], std::uint64_t v) noexcept {
+  return {out, std::to_chars(out, out + sizeof out, v).ptr};
+}
+
+}  // namespace
+
+void OriginServer::add_headers(Response& resp,
+                               std::initializer_list<http::HeaderField> own) const {
+  std::size_t bytes = http::Headers::field_bytes("Date", config_.date.size()) +
+                      http::Headers::field_bytes("Server", config_.server_banner.size()) +
+                      config_.extra_headers.serialized_size();
+  for (const auto& f : own) {
+    if (!f.name.empty()) bytes += http::Headers::field_bytes(f.name, f.value.size());
+  }
+  resp.headers.reserve(bytes);
   resp.headers.add("Date", config_.date);
   resp.headers.add("Server", config_.server_banner);
-  for (const auto& f : config_.extra_headers) resp.headers.add(f.name, f.value);
+  resp.headers.append(config_.extra_headers);
+  for (const auto& f : own) {
+    if (!f.name.empty()) resp.headers.add(f.name, f.value);
+  }
 }
 
 Response OriginServer::error_response(int status, std::string_view text) const {
   Response resp;
   resp.status = status;
-  add_common_headers(resp, 3);
-  resp.headers.add("Content-Type", "text/html; charset=iso-8859-1");
   resp.body = Body::literal(std::string{text});
-  resp.headers.add("Content-Length", std::to_string(resp.body.size()));
-  resp.headers.add("Connection", "keep-alive");
+  char length[20];
+  add_headers(resp, {{"Content-Type", "text/html; charset=iso-8859-1"},
+                     {"Content-Length", decimal(length, resp.body.size())},
+                     {"Connection", "keep-alive"}});
   return resp;
 }
 
 Response OriginServer::respond_full(const Resource& res) const {
   Response resp;
   resp.status = http::kOk;
-  add_common_headers(resp, 6);
-  resp.headers.add("Last-Modified", res.last_modified);
-  resp.headers.add("ETag", res.etag);
-  if (config_.supports_ranges) resp.headers.add("Accept-Ranges", "bytes");
-  resp.headers.add("Content-Length", std::to_string(res.size()));
-  resp.headers.add("Content-Type", res.content_type);
-  resp.headers.add("Connection", "keep-alive");
+  char length[20];
+  add_headers(resp, {{"Last-Modified", res.last_modified},
+                     {"ETag", res.etag},
+                     {config_.supports_ranges ? "Accept-Ranges" : "", "bytes"},
+                     {"Content-Length", decimal(length, res.size())},
+                     {"Content-Type", res.content_type},
+                     {"Connection", "keep-alive"}});
   resp.body = res.entity;
   if (config_.chunked_full_responses) http::apply_chunked_coding(resp);
   return resp;
@@ -49,14 +69,17 @@ Response OriginServer::respond_single_range(const Resource& res,
                                             const http::ResolvedRange& range) const {
   Response resp;
   resp.status = http::kPartialContent;
-  add_common_headers(resp, 7);
-  resp.headers.add("Last-Modified", res.last_modified);
-  resp.headers.add("ETag", res.etag);
-  resp.headers.add("Accept-Ranges", "bytes");
-  resp.headers.add("Content-Length", std::to_string(range.length()));
-  resp.headers.add("Content-Range", http::content_range(range, res.size()));
-  resp.headers.add("Content-Type", res.content_type);
-  resp.headers.add("Connection", "keep-alive");
+  char length[20];
+  char content_range[http::kContentRangeMaxBytes];
+  add_headers(resp, {{"Last-Modified", res.last_modified},
+                     {"ETag", res.etag},
+                     {"Accept-Ranges", "bytes"},
+                     {"Content-Length", decimal(length, range.length())},
+                     {"Content-Range",
+                      {content_range,
+                       http::write_content_range(content_range, range, res.size())}},
+                     {"Content-Type", res.content_type},
+                     {"Connection", "keep-alive"}});
   resp.body = res.entity.slice(range.first, range.length());
   return resp;
 }
@@ -65,28 +88,27 @@ Response OriginServer::respond_multipart(
     const Resource& res, const std::vector<http::ResolvedRange>& ranges) const {
   Response resp;
   resp.status = http::kPartialContent;
-  add_common_headers(resp, 6);
-  resp.headers.add("Last-Modified", res.last_modified);
-  resp.headers.add("ETag", res.etag);
-  resp.headers.add("Accept-Ranges", "bytes");
   resp.body = http::build_multipart_byteranges(res.entity, ranges, res.size(),
                                                res.content_type,
                                                config_.multipart_boundary);
-  resp.headers.add("Content-Length", std::to_string(resp.body.size()));
-  resp.headers.add("Content-Type",
-                   http::multipart_content_type(config_.multipart_boundary));
-  resp.headers.add("Connection", "keep-alive");
+  char length[20];
+  add_headers(resp, {{"Last-Modified", res.last_modified},
+                     {"ETag", res.etag},
+                     {"Accept-Ranges", "bytes"},
+                     {"Content-Length", decimal(length, resp.body.size())},
+                     {"Content-Type",
+                      http::multipart_content_type(config_.multipart_boundary)},
+                     {"Connection", "keep-alive"}});
   return resp;
 }
 
 Response OriginServer::respond_416(const Resource& res) const {
   Response resp;
   resp.status = http::kRangeNotSatisfiable;
-  add_common_headers(resp, 4);
-  resp.headers.add("Content-Range", http::content_range_unsatisfied(res.size()));
-  resp.headers.add("Content-Length", "0");
-  resp.headers.add("Content-Type", res.content_type);
-  resp.headers.add("Connection", "keep-alive");
+  add_headers(resp, {{"Content-Range", http::content_range_unsatisfied(res.size())},
+                     {"Content-Length", "0"},
+                     {"Content-Type", res.content_type},
+                     {"Connection", "keep-alive"}});
   return resp;
 }
 
@@ -115,10 +137,9 @@ Response OriginServer::handle(const Request& request) {
   const auto not_modified_response = [&] {
     Response not_modified;
     not_modified.status = 304;
-    add_common_headers(not_modified, 3);
-    not_modified.headers.add("ETag", res->etag);
-    not_modified.headers.add("Last-Modified", res->last_modified);
-    not_modified.headers.add("Connection", "keep-alive");
+    add_headers(not_modified, {{"ETag", res->etag},
+                               {"Last-Modified", res->last_modified},
+                               {"Connection", "keep-alive"}});
     return not_modified;
   };
   if (const auto inm = request.headers.get("If-None-Match")) {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -60,7 +61,7 @@ struct OriginConfig {
   /// Extra headers appended to every response (application-level headers a
   /// real deployment would add: Cache-Control, Vary, ...).  Benchmarks use
   /// this to match the paper testbed's response header footprint.
-  std::vector<http::HeaderField> extra_headers;
+  http::Headers extra_headers;
 
   /// Deterministic failure modeling (non-owning; must outlive the server).
   /// When set, the injector is consulted once per handled request:
@@ -105,9 +106,11 @@ class OriginServer final : public net::HttpHandler {
                                    const std::vector<http::ResolvedRange>& ranges) const;
   http::Response respond_416(const Resource& res) const;
   http::Response error_response(int status, std::string_view text) const;
-  /// Adds Date, Server and the extra headers, sizing the header list for
-  /// them plus the `own_fields` the caller adds next.
-  void add_common_headers(http::Response& resp, std::size_t own_fields) const;
+  /// Writes Date, Server and the extra headers, then `own` in order; a field
+  /// with an empty name is one this response leaves out.  The block is sized
+  /// before its first field, so it costs one allocation.
+  void add_headers(http::Response& resp,
+                   std::initializer_list<http::HeaderField> own) const;
 
   OriginConfig config_;
   ResourceStore resources_;

@@ -75,20 +75,25 @@ namespace {
 constexpr int kRounds = 16;
 
 // Budgets, at most 10% above what the code allocates today with GCC 12 and
-// libstdc++: 31, 28, 8, 76, 76 and 58 allocations, and 13 061, 42 227 and
-// 7 082 bytes for the three OBR exchanges.  A cut to a count should cut its
-// bound.  Each OBR Range parse allocates one 32-byte run, whatever n is.
+// libstdc++: 14, 14, 3, 34, 34 and 36 allocations, and 2 030, 1 639, 618,
+// 9 098, 38 266 and 5 196 bytes for the SBR miss, the pollution miss and
+// hit and the three OBR exchanges.  Each message's header block is one
+// allocation, sized before its first field.  A cut to a count should cut
+// its bound.  Each OBR Range parse allocates one 32-byte run, whatever n is.
 // The alternating value's parse asks for 3 994 496 bytes: its 87 379 runs
 // and the 37 449 it outgrew, 32 bytes each.
-constexpr std::uint64_t kSbrMissBound = 34;
-constexpr std::uint64_t kPollutionMissBound = 30;
-constexpr std::uint64_t kPollutionHitBound = 8;
-constexpr std::uint64_t kObrBound = 83;
-constexpr std::uint64_t kObrBytesBound = 14'367;
-constexpr std::uint64_t kObrWorkloadBound = 83;
-constexpr std::uint64_t kObrWorkloadBytesBound = 46'449;
-constexpr std::uint64_t kObrDetectionBound = 63;
-constexpr std::uint64_t kObrDetectionBytesBound = 7'790;
+constexpr std::uint64_t kSbrMissBound = 15;
+constexpr std::uint64_t kSbrMissBytesBound = 2'233;
+constexpr std::uint64_t kPollutionMissBound = 15;
+constexpr std::uint64_t kPollutionMissBytesBound = 1'802;
+constexpr std::uint64_t kPollutionHitBound = 3;
+constexpr std::uint64_t kPollutionHitBytesBound = 679;
+constexpr std::uint64_t kObrBound = 37;
+constexpr std::uint64_t kObrBytesBound = 10'007;
+constexpr std::uint64_t kObrWorkloadBound = 37;
+constexpr std::uint64_t kObrWorkloadBytesBound = 42'092;
+constexpr std::uint64_t kObrDetectionBound = 39;
+constexpr std::uint64_t kObrDetectionBytesBound = 5'715;
 constexpr std::uint64_t kMalformedRangeBytesBound = 1024;
 constexpr std::uint64_t kAlternatingRangeBytesBound = 4'393'945;
 
@@ -184,7 +189,9 @@ TEST(AllocBudget, SbrMiss) {
   for (int i = 0; i < 64; ++i) send(make(i));  // every node warm
 
   const std::uint64_t fetches_before = upstream_exchanges(cluster);
-  EXPECT_LE(fewest_per_exchange("sbr miss", make, send).allocations, kSbrMissBound);
+  const Cost cost = fewest_per_exchange("sbr miss", make, send);
+  EXPECT_LE(cost.allocations, kSbrMissBound);
+  EXPECT_LE(cost.bytes, kSbrMissBytesBound);
   EXPECT_EQ(upstream_exchanges(cluster) - fetches_before,
             static_cast<std::uint64_t>(kRounds));  // every one a miss
 }
@@ -247,13 +254,13 @@ class PollutionAllocBudget : public ::testing::Test {
 
 TEST_F(PollutionAllocBudget, AttackMiss) {
   const std::uint64_t before = fetches();
-  EXPECT_LE(fewest_per_exchange(
-                "pollution miss", [&](int) { return attack(); },
-                [&](const http::Request& r) {
-                  EXPECT_EQ(attacker_wire_.transfer(r).status, 206);
-                })
-                .allocations,
-            kPollutionMissBound);
+  const Cost cost = fewest_per_exchange(
+      "pollution miss", [&](int) { return attack(); },
+      [&](const http::Request& r) {
+        EXPECT_EQ(attacker_wire_.transfer(r).status, 206);
+      });
+  EXPECT_LE(cost.allocations, kPollutionMissBound);
+  EXPECT_LE(cost.bytes, kPollutionMissBytesBound);
   EXPECT_EQ(fetches() - before, static_cast<std::uint64_t>(kRounds));
   EXPECT_GT(node_.cache().evictions(), 0u);
 }
@@ -261,13 +268,13 @@ TEST_F(PollutionAllocBudget, AttackMiss) {
 TEST_F(PollutionAllocBudget, LegitHit) {
   legit_wire_.transfer(legit(0));  // resident whatever the flood evicted
   const std::uint64_t before = fetches();
-  EXPECT_LE(fewest_per_exchange(
-                "pollution hit", [](int) { return legit(0); },
-                [&](const http::Request& r) {
-                  EXPECT_EQ(legit_wire_.transfer(r).status, 200);
-                })
-                .allocations,
-            kPollutionHitBound);
+  const Cost cost = fewest_per_exchange(
+      "pollution hit", [](int) { return legit(0); },
+      [&](const http::Request& r) {
+        EXPECT_EQ(legit_wire_.transfer(r).status, 200);
+      });
+  EXPECT_LE(cost.allocations, kPollutionHitBound);
+  EXPECT_LE(cost.bytes, kPollutionHitBytesBound);
   EXPECT_EQ(fetches(), before);  // every one a hit
 }
 

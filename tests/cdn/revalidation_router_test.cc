@@ -161,6 +161,46 @@ TEST(VaryCache, VariantsAreCachedSeparately) {
   EXPECT_EQ(bed.origin().request_log().size(), 3u);
 }
 
+// RFC 9111 section 4.1: a stored response whose Vary contains "*" always
+// fails to match, so every request for it goes to the origin.
+TEST(VaryCache, StarNeverMatches) {
+  origin::OriginConfig config;
+  config.extra_headers = {{"Vary", "*"}};
+  core::SingleCdnTestbed bed(make_profile(Vendor::kFastly), config);
+  bed.origin().resources().add_synthetic("/star.bin", 2048);
+  EXPECT_EQ(bed.send(http::make_get("h.example", "/star.bin")).status, 200);
+  EXPECT_EQ(bed.send(http::make_get("h.example", "/star.bin")).status, 200);
+  EXPECT_EQ(bed.origin().request_log().size(), 2u);
+
+  // "*" among other members, after optional whitespace, still never matches.
+  bed.origin().config().extra_headers = {{"Vary", "Accept-Encoding,\t*"}};
+  bed.origin().resources().add_synthetic("/star-list.bin", 2048);
+  bed.send(http::make_get("h.example", "/star-list.bin"));
+  bed.send(http::make_get("h.example", "/star-list.bin"));
+  EXPECT_EQ(bed.origin().request_log().size(), 4u);
+}
+
+// RFC 9110 section 5.6.1: OWS around a list member is SP or HTAB, so a
+// member after a tab names its field like any other.
+TEST(VaryCache, MembersTrimTabs) {
+  origin::OriginConfig config;
+  config.extra_headers = {{"Vary", "Accept-Encoding,\tUser-Agent"}};
+  core::SingleCdnTestbed bed(make_profile(Vendor::kFastly), config);
+  bed.origin().resources().add_synthetic("/v.bin", 2048);
+
+  const auto request_from = [](const char* agent) {
+    Request req = http::make_get("h.example", "/v.bin");
+    req.headers.add("Accept-Encoding", "gzip");
+    req.headers.add("User-Agent", agent);
+    return req;
+  };
+  bed.send(request_from("curl/8.0"));
+  bed.send(request_from("Wget/1.21"));
+  EXPECT_EQ(bed.origin().request_log().size(), 2u);
+  bed.send(request_from("curl/8.0"));  // a stored variant
+  EXPECT_EQ(bed.origin().request_log().size(), 2u);
+}
+
 TEST(VaryCache, NonVaryingResourcesShareOneEntry) {
   core::SingleCdnTestbed bed(make_profile(Vendor::kFastly));
   bed.origin().resources().add_synthetic("/plain.bin", 2048);

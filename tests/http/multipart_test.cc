@@ -288,7 +288,7 @@ struct RunCase {
 // each repeated once or 2 to 50 times, positions of 1 or of 20 digits, and
 // with or without Azure's per-part fields; `expected` is built here from the
 // RFC layout, every repeat written out, not by the writer.
-RunCase random_run(Rng& rng, const std::vector<HeaderField>& azure_fields) {
+RunCase random_run(Rng& rng, const Headers& azure_fields) {
   const std::uint64_t size = 1 + rng.below(rng.chance(0.3) ? 9 : 300);
   const std::uint64_t base = rng.chance(0.5) ? 0 : 10'000'000'000'000'000'000ULL;
   const std::uint64_t total = base + size;
@@ -306,7 +306,9 @@ RunCase random_run(Rng& rng, const std::vector<HeaderField>& azure_fields) {
   std::vector<RunPart> parts;
   std::string fields;
   if (azure) {
-    for (const auto& f : azure_fields) fields += f.name + ": " + f.value + "\r\n";
+    for (const auto f : azure_fields) {
+      fields.append(f.name).append(": ").append(f.value).append("\r\n");
+    }
   }
   const auto add = [&](Region region, const std::string& text) {
     c.regions.push_back({region, {c.expected.size(), text.size()}});
@@ -334,7 +336,7 @@ RunCase random_run(Rng& rng, const std::vector<HeaderField>& azure_fields) {
   }
   add(kClosing, std::string(count == 0 ? "" : "\r\n") + "--" + boundary + "--\r\n");
   c.body = MultipartWriter(boundary, "text/plain", total,
-                           azure ? azure_fields : std::vector<HeaderField>{})
+                           azure ? azure_fields : Headers{})
                .frame(source, std::move(parts));
   return c;
 }
