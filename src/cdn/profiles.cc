@@ -53,10 +53,21 @@ void pad_part_headers(VendorTraits& traits, std::size_t target_bytes) {
 // Tables I-III; the comments cite the row being implemented.
 // ---------------------------------------------------------------------------
 
-// Akamai (Table I): "bytes=first-last -> None", "bytes=-suffix -> None".
-// Table III: n-part response with overlapping ranges honored (via the
-// traits' kHonorOverlapping reply policy after a Deletion fetch).
-class AkamaiLogic final : public VendorLogic {
+// Akamai, Cloudflare (cacheable page rule), Fastly and G-Core Labs
+// (Table I): "bytes=first-last -> None", "bytes=-suffix -> None" -- the
+// Deletion policy, except that a lone open range is forwarded lazily.
+// Cloudflare's two rows are starred (*): they hold under a cacheable page
+// rule, and its Bypass mode of Table II is a separate pure-passthrough
+// profile (see make_profile).  The four share this miss path; in Tables
+// I-III only their multi-range reply policies (in their traits) differ:
+//   * Akamai honors overlapping ranges in an n-part reply (kHonorOverlapping,
+//     Table III);
+//   * Cloudflare answers a multi-range request 200 with the full entity
+//     (kIgnoreRange);
+//   * Fastly answers with the first range only (kFirstRangeOnly) -- not
+//     OBR-vulnerable on either side;
+//   * G-Core Labs coalesces multi-range replies (not in Table III).
+class DeletionButOpenLogic final : public VendorLogic {
  public:
   Response on_miss(CdnNode& node, const Request& request,
                    const std::optional<RangeSet>& range) override {
@@ -197,22 +208,6 @@ class CdnsunLogic final : public VendorLogic {
   }
 };
 
-// Cloudflare, cacheable page rule (Table I): "bytes=first-last -> None (*)",
-// "bytes=-suffix -> None (*)".  Multi-range requests are answered 200 with
-// the full entity (kIgnoreRange reply policy).  The Bypass mode of Table II
-// is a separate pure-passthrough profile (see make_profile).
-class CloudflareCacheableLogic final : public VendorLogic {
- public:
-  Response on_miss(CdnNode& node, const Request& request,
-                   const std::optional<RangeSet>& range) override {
-    if (!range) return deletion_miss(node, request, range);
-    if (range->count() == 1 && range->front().is_open()) {
-      return laziness_miss(node, request, range);
-    }
-    return deletion_miss(node, request, range);
-  }
-};
-
 // CloudFront (Table I): full Expansion policy.  Single closed ranges are
 // widened to MiB blocks: first' = (first >> 20) << 20,
 // last' = (((last >> 20) + 1) << 20) - 1.  Multi-range sets whose expanded
@@ -289,25 +284,6 @@ class CloudFrontLogic final : public VendorLogic {
     return serve_upstream_result(node, request, upstream, range);
   }
 };
-
-// Fastly (Table I): "bytes=first-last -> None", "bytes=-suffix -> None".
-// Multi-range requests are fetched full and answered with the first range
-// only (kFirstRangeOnly) -- not OBR-vulnerable on either side.
-class FastlyLogic final : public VendorLogic {
- public:
-  Response on_miss(CdnNode& node, const Request& request,
-                   const std::optional<RangeSet>& range) override {
-    if (!range) return deletion_miss(node, request, range);
-    if (range->count() == 1 && range->front().is_open()) {
-      return laziness_miss(node, request, range);
-    }
-    return deletion_miss(node, request, range);
-  }
-};
-
-// G-Core Labs (Table I): same Deletion rows as Akamai, but multi-range
-// replies are coalesced (not in Table III).
-using GcoreLogic = FastlyLogic;
 
 // Huawei Cloud (Table I): "bytes=-suffix (F < 10MB) -> None (*)",
 // "bytes=first-last (F >= 10MB) -> None & None (*)".  The node learns F via
@@ -745,7 +721,7 @@ VendorProfile make_profile(Vendor v, const ProfileOptions& options) {
   switch (v) {
     case Vendor::kAkamai:
       profile.traits = akamai_traits();
-      profile.logic = std::make_unique<AkamaiLogic>();
+      profile.logic = std::make_unique<DeletionButOpenLogic>();
       break;
     case Vendor::kAlibabaCloud:
       profile.traits = alibaba_traits();
@@ -770,7 +746,7 @@ VendorProfile make_profile(Vendor v, const ProfileOptions& options) {
         // Bypass page rule: pure pass-through, no caching (Table II).
         profile.logic = std::make_unique<LazinessLogic>(/*serve_range_on_200=*/false);
       } else {
-        profile.logic = std::make_unique<CloudflareCacheableLogic>();
+        profile.logic = std::make_unique<DeletionButOpenLogic>();
       }
       break;
     case Vendor::kCloudFront:
@@ -779,11 +755,11 @@ VendorProfile make_profile(Vendor v, const ProfileOptions& options) {
       break;
     case Vendor::kFastly:
       profile.traits = fastly_traits();
-      profile.logic = std::make_unique<FastlyLogic>();
+      profile.logic = std::make_unique<DeletionButOpenLogic>();
       break;
     case Vendor::kGcoreLabs:
       profile.traits = gcore_traits();
-      profile.logic = std::make_unique<GcoreLogic>();
+      profile.logic = std::make_unique<DeletionButOpenLogic>();
       break;
     case Vendor::kHuaweiCloud:
       profile.traits = huawei_traits();

@@ -16,6 +16,23 @@
 namespace rangeamp::core {
 namespace {
 
+// The `shards`/`threads` checks every campaign Builder shares.
+void check_parallelism(const char* config, std::size_t shards, int threads) {
+  if (shards == 0) {
+    throw std::invalid_argument(std::string{config} + ": shards must be >= 1");
+  }
+  if (threads < 1) {
+    throw std::invalid_argument(std::string{config} + ": threads must be >= 1");
+  }
+}
+
+// Adds `from` into `into` element by element; an empty `into` grows to fit.
+void add_each(std::vector<std::uint64_t>& into,
+              const std::vector<std::uint64_t>& from) {
+  into.resize(std::max(into.size(), from.size()));
+  for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i];
+}
+
 void add_shield_stats(cdn::ShieldStats& into, const cdn::ShieldStats& from) {
   into.loop_rejected += from.loop_rejected;
   into.hop_cap_rejected += from.hop_cap_rejected;
@@ -38,8 +55,34 @@ void drop_unread_logs(origin::OriginServer& origin, cdn::EdgeCluster& cluster) {
   }
 }
 
+// Zipf(1) popularity over object ranks (rank-k weight 1/k), as the
+// pollution and gossip campaigns draw their legit reads.  The CDF is built
+// with divisions only -- std::pow is not bit-stable across libms and the
+// committed CSVs must regenerate byte-identically everywhere.
+class ZipfSampler {
+ public:
+  explicit ZipfSampler(std::size_t objects) : cdf_(objects) {
+    for (std::size_t i = 0; i < objects; ++i) {
+      total_weight_ += 1.0 / static_cast<double>(i + 1);
+      cdf_[i] = total_weight_;
+    }
+  }
+
+  // 53 uniform bits -> [0, 1) -> CDF inversion by binary search.
+  std::size_t rank(http::Rng& rng) const {
+    const double u =
+        static_cast<double>(rng.next() >> 11) * 0x1.0p-53 * total_weight_;
+    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    return std::min<std::size_t>(it - cdf_.begin(), cdf_.size() - 1);
+  }
+
+ private:
+  std::vector<double> cdf_;
+  double total_weight_ = 0;
+};
+
 // ---------------------------------------------------------------------------
-// SBR campaign: shard block runner + ordered reduction.
+// SBR campaign: one block per shard (core/parallel.h's run_sharded).
 //
 // One block runs the exchanges [begin, end) of the campaign grid against its
 // OWN testbed (origin, cluster, recorder -- the per-shard ownership rule of
@@ -50,7 +93,7 @@ void drop_unread_logs(origin::OriginServer& origin, cdn::EdgeCluster& cluster) {
 // is what keeps every pre-sharding CSV byte-identical.
 // ---------------------------------------------------------------------------
 
-struct SbrBlockResult {
+struct SbrBlock {
   net::TrafficTotals attacker;
   std::uint64_t attacker_truncated = 0;
   std::uint64_t origin_response_bytes = 0;
@@ -61,12 +104,21 @@ struct SbrBlockResult {
   /// replays the concatenation through one detector so the verdict is a
   /// function of the merged sample stream, not of thread scheduling.
   std::vector<DetectorSample> samples;
+
+  void merge(const SbrBlock& other) {
+    attacker += other.attacker;
+    attacker_truncated += other.attacker_truncated;
+    origin_response_bytes += other.origin_response_bytes;
+    add_each(per_node_upstream_bytes, other.per_node_upstream_bytes);
+    add_each(per_node_ingress_exchanges, other.per_node_ingress_exchanges);
+    add_shield_stats(shield, other.shield);
+    samples.insert(samples.end(), other.samples.begin(), other.samples.end());
+  }
 };
 
-SbrBlockResult run_sbr_block(const SbrCampaignConfig& config,
-                             const SbrPlan& plan, std::uint64_t begin,
-                             std::uint64_t end, obs::Tracer* tracer,
-                             obs::MetricsRegistry* metrics) {
+SbrBlock run_sbr_block(const SbrCampaignConfig& config, const SbrPlan& plan,
+                       std::uint64_t begin, std::uint64_t end,
+                       obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
   origin::OriginServer origin;
   origin.resources().add_synthetic("/target.bin", config.file_size);
 
@@ -110,7 +162,7 @@ SbrBlockResult run_sbr_block(const SbrCampaignConfig& config,
         "per-request origin/client response byte ratio");
   }
 
-  SbrBlockResult block;
+  SbrBlock block;
   block.samples.reserve(static_cast<std::size_t>(end - begin));
   const std::uint64_t burst =
       config.same_key_burst > 1 ? static_cast<std::uint64_t>(config.same_key_burst) : 1;
@@ -202,12 +254,7 @@ SbrCampaignConfig SbrCampaignConfig::Builder::build() const {
     throw std::invalid_argument(
         "SbrCampaignConfig: same_key_burst must be >= 1");
   }
-  if (config_.shards == 0) {
-    throw std::invalid_argument("SbrCampaignConfig: shards must be >= 1");
-  }
-  if (config_.threads < 1) {
-    throw std::invalid_argument("SbrCampaignConfig: threads must be >= 1");
-  }
+  check_parallelism("SbrCampaignConfig", config_.shards, config_.threads);
   return config_;
 }
 
@@ -220,49 +267,14 @@ SbrCampaignResult run_sbr_campaign(const SbrCampaignConfig& config,
   const std::uint64_t burst =
       config.same_key_burst > 1 ? static_cast<std::uint64_t>(config.same_key_burst) : 1;
 
-  SbrBlockResult merged;
-  if (config.shards <= 1) {
-    // Serial path: one block over the whole grid, writing straight into the
-    // caller's observability sinks -- bit-for-bit the pre-sharding campaign.
-    merged = run_sbr_block(config, plan, 0, total_requests, config.tracer,
-                           config.metrics);
-  } else {
-    // Sharded path: burst-aligned contiguous blocks, each against its own
-    // testbed and its own tracer/metrics sinks, merged in shard order.
-    struct ShardOut {
-      SbrBlockResult block;
-      obs::Tracer tracer;
-      obs::MetricsRegistry metrics;
-    };
-    const ShardPlan shard_plan(total_requests, config.shards, /*seed=*/0,
-                               burst);
-    std::vector<ShardOut> outs(shard_plan.size());
-    run_shards(shard_plan, static_cast<std::size_t>(config.threads),
-               [&](const Shard& shard) {
-                 ShardOut& out = outs[shard.index];
-                 out.block = run_sbr_block(
-                     config, plan, shard.begin, shard.end,
-                     config.tracer ? &out.tracer : nullptr,
-                     config.metrics ? &out.metrics : nullptr);
-               });
-    merged.per_node_upstream_bytes.assign(config.edge_nodes, 0);
-    merged.per_node_ingress_exchanges.assign(config.edge_nodes, 0);
-    for (ShardOut& out : outs) {
-      merged.attacker += out.block.attacker;
-      merged.attacker_truncated += out.block.attacker_truncated;
-      merged.origin_response_bytes += out.block.origin_response_bytes;
-      for (std::size_t i = 0; i < config.edge_nodes; ++i) {
-        merged.per_node_upstream_bytes[i] += out.block.per_node_upstream_bytes[i];
-        merged.per_node_ingress_exchanges[i] +=
-            out.block.per_node_ingress_exchanges[i];
-      }
-      add_shield_stats(merged.shield, out.block.shield);
-      merged.samples.insert(merged.samples.end(), out.block.samples.begin(),
-                            out.block.samples.end());
-      if (config.tracer) config.tracer->merge_from(out.tracer);
-      if (config.metrics) config.metrics->merge_from(out.metrics);
-    }
-  }
+  // Burst-aligned blocks: a same-key group never straddles two testbeds.
+  const SbrBlock merged = run_sharded<SbrBlock>(
+      total_requests, config.shards, config.threads, /*seed=*/0, burst,
+      {config.tracer, config.metrics},
+      [&](const Shard& shard, ShardSinks sinks) {
+        return run_sbr_block(config, plan, shard.begin, shard.end,
+                             sinks.tracer, sinks.metrics);
+      });
 
   // Detector replay: the concatenated sample stream is in global exchange
   // order regardless of how many shards produced it, so the sliding-window
@@ -317,16 +329,22 @@ SbrCampaignResult run_sbr_campaign(const SbrCampaignConfig& config,
 
 namespace {
 
-struct ObrBlockResult {
+struct ObrBlock {
   std::uint64_t fcdn_bcdn_response_bytes = 0;
   std::uint64_t bcdn_origin_response_bytes = 0;
   std::uint64_t attacker_response_bytes = 0;
   std::uint64_t attacker_truncated = 0;
+
+  void merge(const ObrBlock& other) {
+    fcdn_bcdn_response_bytes += other.fcdn_bcdn_response_bytes;
+    bcdn_origin_response_bytes += other.bcdn_origin_response_bytes;
+    attacker_response_bytes += other.attacker_response_bytes;
+    attacker_truncated += other.attacker_truncated;
+  }
 };
 
-ObrBlockResult run_obr_block(const ObrCampaignConfig& config,
-                             const std::string& range_value,
-                             std::uint64_t begin, std::uint64_t end) {
+ObrBlock run_obr_block(const ObrCampaignConfig& config,
+                       const std::string& range_value, const Shard& shard) {
   // One cascade per block: the BCDN caches the small entity after the first
   // pull, exactly as a pinned-node attack would see.  Every campaign request
   // busts both caches with a fresh query, so block totals are independent of
@@ -349,7 +367,7 @@ ObrBlockResult run_obr_block(const ObrCampaignConfig& config,
 
   net::TransferOptions abort_early;
   abort_early.abort_after_body_bytes = 4096;
-  for (std::uint64_t i = begin; i < end; ++i) {
+  for (std::uint64_t i = shard.begin; i < shard.end; ++i) {
     // Rotate the cache-busting query (fixed width keeps the request line --
     // and with it the header-limit arithmetic -- constant): both CDNs must
     // miss on every request, or the FCDN would answer from its own cache.
@@ -362,7 +380,7 @@ ObrBlockResult run_obr_block(const ObrCampaignConfig& config,
     bed.send(request, abort_early);
   }
 
-  ObrBlockResult block;
+  ObrBlock block;
   block.fcdn_bcdn_response_bytes = bed.fcdn_bcdn_traffic().response_bytes();
   block.bcdn_origin_response_bytes = bed.bcdn_origin_traffic().response_bytes();
   block.attacker_response_bytes = bed.client_traffic().response_bytes();
@@ -387,12 +405,7 @@ ObrCampaignConfig ObrCampaignConfig::Builder::build() const {
     throw std::invalid_argument(
         "ObrCampaignConfig: node_uplink_mbps must be > 0");
   }
-  if (config_.shards == 0) {
-    throw std::invalid_argument("ObrCampaignConfig: shards must be >= 1");
-  }
-  if (config_.threads < 1) {
-    throw std::invalid_argument("ObrCampaignConfig: threads must be >= 1");
-  }
+  check_parallelism("ObrCampaignConfig", config_.shards, config_.threads);
   return config_;
 }
 
@@ -415,27 +428,20 @@ ObrCampaignResult run_obr_campaign(const ObrCampaignConfig& config) {
       static_cast<std::uint64_t>(config.duration_s);
   const std::string range_value = obr_range_case(config.fcdn, result.n).to_string();
 
-  const ShardPlan shard_plan(total_requests,
-                             std::max<std::size_t>(1, config.shards));
-  std::vector<ObrBlockResult> blocks(shard_plan.size());
-  run_shards(shard_plan, static_cast<std::size_t>(std::max(1, config.threads)),
-             [&](const Shard& shard) {
-               blocks[shard.index] =
-                   run_obr_block(config, range_value, shard.begin, shard.end);
-             });
-  std::uint64_t fcdn_bcdn_response_bytes = 0;
-  for (const ObrBlockResult& block : blocks) {
-    fcdn_bcdn_response_bytes += block.fcdn_bcdn_response_bytes;
-    result.bcdn_origin_response_bytes += block.bcdn_origin_response_bytes;
-    result.attacker_response_bytes += block.attacker_response_bytes;
-    result.attacker_truncated += block.attacker_truncated;
-  }
+  const ObrBlock merged = run_sharded<ObrBlock>(
+      total_requests, config.shards, config.threads, /*seed=*/0, /*group=*/1,
+      {}, [&](const Shard& shard, ShardSinks) {
+        return run_obr_block(config, range_value, shard);
+      });
+  result.bcdn_origin_response_bytes = merged.bcdn_origin_response_bytes;
+  result.attacker_response_bytes = merged.attacker_response_bytes;
+  result.attacker_truncated = merged.attacker_truncated;
   result.fcdn_bcdn_bytes_per_request =
-      total_requests == 0 ? 0 : fcdn_bcdn_response_bytes / total_requests;
+      total_requests == 0 ? 0 : merged.fcdn_bcdn_response_bytes / total_requests;
   result.amplification =
       result.bcdn_origin_response_bytes == 0
           ? 0
-          : static_cast<double>(fcdn_bcdn_response_bytes) /
+          : static_cast<double>(merged.fcdn_bcdn_response_bytes) /
                 static_cast<double>(result.bcdn_origin_response_bytes);
 
   // Project onto the targeted node's uplink.
@@ -462,15 +468,22 @@ ObrCampaignResult run_obr_campaign(const ObrCampaignConfig& config) {
 
 namespace {
 
-struct LegitBlockResult {
+struct LegitBlock {
   net::TrafficTotals client;
   std::uint64_t origin_response_bytes = 0;
   std::size_t hits = 0;
   std::vector<DetectorSample> samples;
+
+  void merge(const LegitBlock& other) {
+    client += other.client;
+    origin_response_bytes += other.origin_response_bytes;
+    hits += other.hits;
+    samples.insert(samples.end(), other.samples.begin(), other.samples.end());
+  }
 };
 
-LegitBlockResult run_legit_block(const LegitWorkloadConfig& config,
-                                 std::uint64_t rng_seed, std::size_t requests) {
+LegitBlock run_legit_block(const LegitWorkloadConfig& config,
+                           const Shard& shard) {
   origin::OriginServer origin;
   // A small site: a page, assets, one big download.
   origin.resources().add_literal("/index.html",
@@ -490,12 +503,12 @@ LegitBlockResult run_legit_block(const LegitWorkloadConfig& config,
   const std::unique_ptr<net::Transport> client_wire =
       net::make_transport(config.transport, client_traffic, cluster);
 
-  http::Rng rng{rng_seed};
+  http::Rng rng{shard.seed};
 
-  LegitBlockResult block;
-  block.samples.reserve(requests);
+  LegitBlock block;
+  block.samples.reserve(static_cast<std::size_t>(shard.size()));
   std::uint64_t origin_before = 0;
-  for (std::size_t i = 0; i < requests; ++i) {
+  for (std::uint64_t i = shard.begin; i < shard.end; ++i) {
     http::Request request;
     std::optional<http::RangeSet> range;
     std::uint64_t resource_size = 0;
@@ -557,78 +570,62 @@ LegitWorkloadConfig LegitWorkloadConfig::Builder::build() const {
   if (config_.edge_nodes == 0) {
     throw std::invalid_argument("LegitWorkloadConfig: edge_nodes must be > 0");
   }
-  if (config_.shards == 0) {
-    throw std::invalid_argument("LegitWorkloadConfig: shards must be >= 1");
-  }
-  if (config_.threads < 1) {
-    throw std::invalid_argument("LegitWorkloadConfig: threads must be >= 1");
-  }
+  check_parallelism("LegitWorkloadConfig", config_.shards, config_.threads);
   return config_;
 }
 
 LegitWorkloadResult run_legit_workload(const LegitWorkloadConfig& config,
                                        const DetectorConfig& detector_config) {
-  std::vector<LegitBlockResult> blocks;
-  if (config.shards <= 1) {
-    // Serial path: the legacy single-stream run, seeded with config.seed
-    // directly (NOT a derived stream) so pre-sharding results replay
-    // byte-identically.
-    blocks.push_back(run_legit_block(config, config.seed, config.requests));
-  } else {
-    const ShardPlan shard_plan(config.requests, config.shards, config.seed);
-    blocks.resize(shard_plan.size());
-    run_shards(shard_plan, static_cast<std::size_t>(std::max(1, config.threads)),
-               [&](const Shard& shard) {
-                 blocks[shard.index] = run_legit_block(
-                     config, shard.seed,
-                     static_cast<std::size_t>(shard.size()));
-               });
-  }
+  // With shards = 1 the one block draws config.seed's own stream, so
+  // pre-sharding results replay byte-identically.
+  const LegitBlock merged = run_sharded<LegitBlock>(
+      config.requests, config.shards, config.threads, config.seed,
+      /*group=*/1, {}, [&](const Shard& shard, ShardSinks) {
+        return run_legit_block(config, shard);
+      });
 
   RangeAmpDetector detector(detector_config);
+  for (const DetectorSample& sample : merged.samples) detector.observe(sample);
   LegitWorkloadResult result;
-  std::size_t hits = 0;
-  for (const LegitBlockResult& block : blocks) {
-    result.client += block.client;
-    result.origin.response_bytes += block.origin_response_bytes;
-    hits += block.hits;
-    for (const DetectorSample& sample : block.samples) detector.observe(sample);
-  }
+  result.client = merged.client;
+  result.origin.response_bytes = merged.origin_response_bytes;
   result.cache_hit_rate =
-      static_cast<double>(hits) / static_cast<double>(config.requests);
+      static_cast<double>(merged.hits) / static_cast<double>(config.requests);
   result.detector_alarmed = detector.alarmed();
   result.detector_stats = detector.stats();
   return result;
 }
 
 // ---------------------------------------------------------------------------
-// Cache-pollution campaign: shard block runner + ordered reduction.
+// Cache-pollution campaign: one block per shard.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct PollutionBlockResult {
-  std::size_t legit_requests = 0;
-  std::size_t attack_requests = 0;
-  std::size_t legit_hits = 0;
-  net::TrafficTotals attacker;
-  std::uint64_t origin_response_bytes = 0;
-  std::uint64_t attack_origin_response_bytes = 0;
-  std::uint64_t cache_bytes_peak = 0;
-  std::uint64_t cache_bytes_end = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_admission_rejects = 0;
+// A block's counts are the campaign result's, before its two rates.
+struct PollutionBlock : CachePollutionResult {
+  void merge(const PollutionBlock& other) {
+    legit_requests += other.legit_requests;
+    attack_requests += other.attack_requests;
+    legit_hits += other.legit_hits;
+    attacker += other.attacker;
+    origin_response_bytes += other.origin_response_bytes;
+    attack_origin_response_bytes += other.attack_origin_response_bytes;
+    // Each shard's node keeps its own budget: peaks take the max.
+    cache_bytes_peak = std::max(cache_bytes_peak, other.cache_bytes_peak);
+    cache_bytes_end = std::max(cache_bytes_end, other.cache_bytes_end);
+    cache_evictions += other.cache_evictions;
+    cache_admission_rejects += other.cache_admission_rejects;
+  }
 };
 
-// One block runs `requests` interleaved exchanges against its OWN origin +
+// One block runs the shard's interleaved exchanges against its OWN origin +
 // single edge node (per-shard cache ownership, docs/parallel-model.md).
 // Attack keys are stamped with the *global* request index so no two shards
 // ever reuse a cache-busting query.
-PollutionBlockResult run_pollution_block(const CachePollutionConfig& config,
-                                         std::uint64_t rng_seed,
-                                         std::uint64_t global_begin,
-                                         std::size_t requests,
-                                         obs::MetricsRegistry* metrics) {
+PollutionBlock run_pollution_block(const CachePollutionConfig& config,
+                                   const Shard& shard,
+                                   obs::MetricsRegistry* metrics) {
   origin::OriginServer origin;
   origin.resources().add_synthetic("/target.bin", config.attack_object_bytes,
                                    "application/octet-stream");
@@ -652,29 +649,13 @@ PollutionBlockResult run_pollution_block(const CachePollutionConfig& config,
   legit_traffic.set_keep_log(false);
   net::Wire legit_wire(legit_traffic, node);
 
-  // Zipf(1) popularity CDF over object ranks (rank-k weight 1/k), built
-  // with divisions only -- std::pow is not bit-stable across libms and the
-  // committed CSV must regenerate byte-identically everywhere.
-  std::vector<double> cdf(config.catalog_objects);
-  double total_weight = 0;
-  for (std::size_t i = 0; i < config.catalog_objects; ++i) {
-    total_weight += 1.0 / static_cast<double>(i + 1);
-    cdf[i] = total_weight;
-  }
+  const ZipfSampler zipf(config.catalog_objects);
+  http::Rng rng{shard.seed};
 
-  http::Rng rng{rng_seed};
-  const auto zipf_rank = [&]() -> std::size_t {
-    // 53 uniform bits -> [0, 1) -> CDF inversion by binary search.
-    const double u =
-        static_cast<double>(rng.next() >> 11) * 0x1.0p-53 * total_weight;
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    return std::min<std::size_t>(it - cdf.begin(), config.catalog_objects - 1);
-  };
-
-  PollutionBlockResult block;
+  PollutionBlock block;
   const auto legit_request = [&](bool measured) {
     http::Request request = http::make_get(
-        "shop.example.com", "/obj/" + std::to_string(zipf_rank()));
+        "shop.example.com", "/obj/" + std::to_string(zipf.rank(rng)));
     const std::uint64_t before = node.upstream_traffic().response_bytes();
     legit_wire.transfer(request);
     if (!measured) return;
@@ -687,7 +668,7 @@ PollutionBlockResult run_pollution_block(const CachePollutionConfig& config,
     legit_request(/*measured=*/false);
   }
 
-  for (std::size_t i = 0; i < requests; ++i) {
+  for (std::uint64_t i = shard.begin; i < shard.end; ++i) {
     if (rng.chance(config.attack_fraction)) {
       // The paper's SBR shape: fresh random query (here: the globally
       // unique request index) + a 1-byte range.  On a Deletion-policy
@@ -695,7 +676,7 @@ PollutionBlockResult run_pollution_block(const CachePollutionConfig& config,
       // it into the cache under a never-to-be-seen-again key.
       http::Request request = http::make_get(
           "shop.example.com",
-          "/target.bin?x=" + std::to_string(global_begin + i));
+          "/target.bin?x=" + std::to_string(i));
       request.headers.add("Range", "bytes=0-0");
       const std::uint64_t before = node.upstream_traffic().response_bytes();
       attacker_wire.transfer(request);
@@ -722,47 +703,14 @@ PollutionBlockResult run_pollution_block(const CachePollutionConfig& config,
 
 CachePollutionResult run_cache_pollution_campaign(
     const CachePollutionConfig& config) {
-  std::vector<PollutionBlockResult> blocks;
-  if (config.shards <= 1) {
-    // Serial path: seeded with config.seed directly (NOT a derived stream)
-    // so the canonical single-shard rows replay byte-identically.
-    blocks.push_back(run_pollution_block(config, config.seed, 0,
-                                         config.requests, config.metrics));
-  } else {
-    const ShardPlan shard_plan(config.requests, config.shards, config.seed);
-    blocks.resize(shard_plan.size());
-    std::vector<obs::MetricsRegistry> shard_metrics(
-        config.metrics ? shard_plan.size() : 0);
-    run_shards(shard_plan,
-               static_cast<std::size_t>(std::max(1, config.threads)),
-               [&](const Shard& shard) {
-                 blocks[shard.index] = run_pollution_block(
-                     config, shard.seed, shard.begin,
-                     static_cast<std::size_t>(shard.size()),
-                     config.metrics ? &shard_metrics[shard.index] : nullptr);
-               });
-    if (config.metrics) {
-      for (const obs::MetricsRegistry& m : shard_metrics) {
-        config.metrics->merge_from(m);
-      }
-    }
-  }
-
-  CachePollutionResult result;
-  for (const PollutionBlockResult& block : blocks) {
-    result.legit_requests += block.legit_requests;
-    result.attack_requests += block.attack_requests;
-    result.legit_hits += block.legit_hits;
-    result.attacker += block.attacker;
-    result.origin_response_bytes += block.origin_response_bytes;
-    result.attack_origin_response_bytes += block.attack_origin_response_bytes;
-    result.cache_bytes_peak =
-        std::max(result.cache_bytes_peak, block.cache_bytes_peak);
-    result.cache_bytes_end =
-        std::max(result.cache_bytes_end, block.cache_bytes_end);
-    result.cache_evictions += block.cache_evictions;
-    result.cache_admission_rejects += block.cache_admission_rejects;
-  }
+  // With shards = 1 the one block draws config.seed's own stream, so the
+  // canonical single-shard rows replay byte-identically.
+  CachePollutionResult result = run_sharded<PollutionBlock>(
+      config.requests, config.shards, config.threads, config.seed,
+      /*group=*/1, {nullptr, config.metrics},
+      [&](const Shard& shard, ShardSinks sinks) {
+        return run_pollution_block(config, shard, sinks.metrics);
+      });
   if (result.legit_requests != 0) {
     result.legit_hit_rate = static_cast<double>(result.legit_hits) /
                             static_cast<double>(result.legit_requests);
@@ -801,8 +749,7 @@ struct GossipExchange {
 // itself is what sharding parallelizes.
 void fill_gossip_schedule(const GossipDetectionConfig& config,
                           std::vector<GossipExchange>& schedule,
-                          const std::vector<double>& zipf_cdf,
-                          double zipf_total_weight, std::uint64_t begin,
+                          const ZipfSampler& zipf, std::uint64_t begin,
                           std::uint64_t end) {
   const std::uint64_t stream = splitmix64(config.seed);
   const std::size_t rotation =
@@ -824,15 +771,7 @@ void fill_gossip_schedule(const GossipDetectionConfig& config,
     ex.node = static_cast<std::uint32_t>(splitmix64(ex.user) %
                                          config.edge_nodes);
     ex.probe = rng.chance(config.probe_fraction);
-    if (!ex.probe) {
-      // Zipf(1) CDF inversion, same divisions-only table as the pollution
-      // campaign (std::pow is not bit-stable across libms).
-      const double u = static_cast<double>(rng.next() >> 11) * 0x1.0p-53 *
-                       zipf_total_weight;
-      const auto it = std::lower_bound(zipf_cdf.begin(), zipf_cdf.end(), u);
-      ex.object = static_cast<std::uint32_t>(std::min<std::size_t>(
-          it - zipf_cdf.begin(), config.catalog_objects - 1));
-    }
+    if (!ex.probe) ex.object = static_cast<std::uint32_t>(zipf.rank(rng));
   }
 }
 
@@ -849,30 +788,17 @@ GossipDetectionResult run_gossip_detection_campaign(
         "GossipDetectionConfig: catalog_objects and legit_users must be >= 1");
   }
 
-  std::vector<double> zipf_cdf(config.catalog_objects);
-  double zipf_total_weight = 0;
-  for (std::size_t i = 0; i < config.catalog_objects; ++i) {
-    zipf_total_weight += 1.0 / static_cast<double>(i + 1);
-    zipf_cdf[i] = zipf_total_weight;
-  }
-
   // Phase 1: materialize the exchange schedule (parallel-safe; every slot is
-  // index-derived, so serial and sharded fills are byte-identical).
+  // index-derived, so serial and sharded fills are byte-identical, and a
+  // `shards` of 0 or 1 is simply a one-shard plan).
+  const ZipfSampler zipf(config.catalog_objects);
   std::vector<GossipExchange> schedule(config.requests);
-  if (config.shards <= 1) {
-    fill_gossip_schedule(config, schedule, zipf_cdf, zipf_total_weight, 0,
-                         config.requests);
-  } else {
-    const ShardPlan shard_plan(config.requests, config.shards, config.seed);
-    run_shards(shard_plan,
-               static_cast<std::size_t>(std::max(1, config.threads)),
-               [&](const Shard& shard) {
-                 fill_gossip_schedule(
-                     config, schedule, zipf_cdf, zipf_total_weight,
-                     shard.begin,
-                     shard.begin + static_cast<std::uint64_t>(shard.size()));
-               });
-  }
+  run_shards(ShardPlan(config.requests, config.shards),
+             static_cast<std::size_t>(std::max(1, config.threads)),
+             [&](const Shard& shard) {
+               fill_gossip_schedule(config, schedule, zipf, shard.begin,
+                                    shard.end);
+             });
 
   // Phase 2: replay serially against one detection-enabled cluster.
   origin::OriginServer origin;

@@ -1,13 +1,11 @@
 #include "core/parallel.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
+#include <atomic>
 #include <exception>
-#include <mutex>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
-#include <utility>
 
 namespace rangeamp::core {
 
@@ -34,91 +32,34 @@ ShardPlan::ShardPlan(std::uint64_t total, std::size_t shard_count,
   }
 }
 
-struct ThreadPool::Impl {
-  std::mutex mu;
-  std::condition_variable work_cv;   ///< workers wait here for tasks
-  std::condition_variable idle_cv;   ///< wait_idle() waits here
-  std::deque<std::function<void()>> queue;
-  std::size_t active = 0;
-  bool stopping = false;
-  std::vector<std::thread> workers;
-
-  void worker_loop() {
-    for (;;) {
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        work_cv.wait(lock, [&] { return stopping || !queue.empty(); });
-        if (queue.empty()) return;  // stopping with a drained queue
-        task = std::move(queue.front());
-        queue.pop_front();
-        ++active;
-      }
-      task();
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        --active;
-        if (queue.empty() && active == 0) idle_cv.notify_all();
-      }
-    }
-  }
-};
-
-ThreadPool::ThreadPool(std::size_t threads)
-    : impl_(new Impl), workers_count_(std::max<std::size_t>(1, threads)) {
-  impl_->workers.reserve(workers_count_);
-  for (std::size_t i = 0; i < workers_count_; ++i) {
-    impl_->workers.emplace_back([this] { impl_->worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->stopping = true;
-  }
-  impl_->work_cv.notify_all();
-  for (std::thread& worker : impl_->workers) worker.join();
-  delete impl_;
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->queue.push_back(std::move(task));
-  }
-  impl_->work_cv.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(impl_->mu);
-  impl_->idle_cv.wait(
-      lock, [&] { return impl_->queue.empty() && impl_->active == 0; });
-}
-
 void run_shards(const ShardPlan& plan, std::size_t threads,
                 const std::function<void(const Shard&)>& fn) {
   const std::vector<Shard>& shards = plan.shards();
-  if (threads <= 1 || shards.size() <= 1) {
-    for (const Shard& shard : shards) fn(shard);
-    return;
-  }
   // One exception slot per shard; the first (by shard index, not by wall
   // clock) is rethrown, so even failure reporting is thread-count-stable.
   std::vector<std::exception_ptr> errors(shards.size());
-  {
-    ThreadPool pool(std::min(threads, shards.size()));
-    for (const Shard& shard : shards) {
-      pool.submit([&fn, &shard, &errors] {
-        try {
-          fn(shard);
-        } catch (...) {
-          errors[shard.index] = std::current_exception();
-        }
-      });
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < shards.size(); i = next++) {
+      try {
+        fn(shards[i]);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
-    pool.wait_idle();
+  };
+  std::vector<std::thread> helpers;
+  const std::size_t workers = std::min(threads, shards.size());
+  if (workers > 1) helpers.reserve(workers - 1);
+  for (std::size_t t = 1; t < workers; ++t) {
+    try {
+      helpers.emplace_back(work);
+    } catch (const std::system_error&) {
+      break;  // the workers already running claim the shards it would have
+    }
   }
+  work();  // the calling thread is the last worker
+  for (std::thread& helper : helpers) helper.join();
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }

@@ -4,7 +4,7 @@
 // *independent* exchanges (the paper's amplification factors are byte ratios
 // summed across requests), which parallelizes without changing a single
 // result byte -- provided the decomposition is deterministic.  This module
-// supplies the two pieces the campaign drivers build on:
+// supplies the pieces every campaign and sweep runs on:
 //
 //   * ShardPlan -- splits an exchange grid [0, total) into contiguous,
 //     group-aligned shards, each with a deterministically derived RNG seed
@@ -13,40 +13,50 @@
 //     the hardware, or a clock, so the same shard boundaries and seeds come
 //     out on every machine and at every parallelism level.
 //
-//   * ThreadPool / run_shards -- a fixed-size worker pool (MPSC task queue,
-//     mutex+condvar handoff) that executes one task per shard.  Threads only
-//     decide *when* a shard runs, never *what* it computes; reductions are
-//     performed by the caller in shard-index order after every shard
-//     completed, so the merged result is identical at any thread count.
+//   * run_shards -- runs one call per shard on up to `threads` workers, the
+//     calling thread among them.  Workers claim shard indices from one
+//     atomic counter, and the threads end with the call.  Threads only
+//     decide *when* a shard runs, never *what* it computes.
+//
+//   * run_sharded -- the one campaign runner.  With `shards <= 1` it runs a
+//     single block over the whole grid under the campaign seed itself,
+//     writing into the caller's tracer and registry; otherwise it runs one
+//     block per ShardPlan shard, each with its own sinks, and merges blocks
+//     and sinks in shard-index order after every shard completed, so the
+//     merged result is identical at any thread count.
 //
 // ## Per-shard ownership rule
 //
-// Workers share NOTHING mutable.  A shard task must own every piece of
+// Workers share NOTHING mutable.  A shard block must own every piece of
 // state it touches:
 //
 //   * its own origin::OriginServer, cdn::CdnNode / EdgeCluster (and thus its
 //     own cdn::Cache maps, ShieldStats, ValidationStats, OverloadStats --
 //     all of which are plain per-instance members),
 //   * its own net::TrafficRecorder / ExchangeRecord log,
-//   * its own obs::Tracer and obs::MetricsRegistry sinks (merged afterwards
-//     with Tracer::merge_from / MetricsRegistry::merge_from, in shard
-//     order),
+//   * its own obs::Tracer and obs::MetricsRegistry sinks (run_sharded hands
+//     each shard fresh ones and merges them afterwards with
+//     Tracer::merge_from / MetricsRegistry::merge_from, in shard order),
 //   * its own http::Rng, seeded from Shard::seed -- never a shared stream.
 //
-// The shard function may read the (const) campaign config and the shard
-// descriptor; everything it writes goes into a result slot indexed by
-// Shard::index that no other shard touches.  This was audited against the
-// library (src/ holds no mutable statics or thread_locals; recorders,
-// caches and stats structs are all instance members), and the rule is what
-// keeps the ThreadSanitizer CI tier clean.  Cross-shard coupling that the
+// The block may read the (const) campaign config and the shard descriptor;
+// everything it writes goes into a result slot indexed by Shard::index that
+// no other shard touches.  This was audited against the library (src/ holds
+// no mutable statics or thread_locals; recorders, caches and stats structs
+// are all instance members), and the rule is what keeps the
+// ThreadSanitizer CI tier clean.  Cross-shard coupling that the
 // decomposition cannot express -- breaker windows spanning key groups,
 // overload watermarks fed by global concurrency -- is exactly the state a
 // campaign must keep `shards = 1` for; see docs/parallel-model.md.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
+
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace rangeamp::core {
 
@@ -100,40 +110,58 @@ class ShardPlan {
   std::vector<Shard> shards_;
 };
 
-/// Fixed-size worker pool over an MPSC task queue.  Tasks are opaque
-/// thunks; submission is cheap and never blocks on task execution.  The
-/// pool is a scheduling device only -- determinism is the shard plan's job.
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (at least one).
-  explicit ThreadPool(std::size_t threads);
-  /// Drains the queue, then joins every worker.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task for execution by any worker.
-  void submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and every worker is idle.
-  void wait_idle();
-
-  std::size_t thread_count() const noexcept { return workers_count_; }
-
- private:
-  struct Impl;
-  Impl* impl_;
-  std::size_t workers_count_;
-};
-
-/// Runs `fn(shard)` for every shard of `plan` on up to `threads` workers
-/// and returns once all shards completed.  With `threads <= 1` (or a
-/// single-shard plan) the shards run inline on the calling thread, in shard
-/// order, with no pool ever created -- the serial path stays allocation-
-/// and syscall-identical to a plain loop.  If any shard throws, the first
-/// exception (in shard-index order) is rethrown after all shards finished.
+/// Runs `fn(shard)` once for every shard of `plan` on up to `threads`
+/// workers and returns once all shards completed.  The calling thread is
+/// one of the workers: `min(threads, plan.size()) - 1` threads are started,
+/// none with `threads <= 1` or a one-shard plan, in which case the shards
+/// run on the caller in shard order.  Every shard runs even if another
+/// throws; the exception of the lowest-index failing shard is rethrown
+/// after all shards finished, so failure reporting is thread-count-stable.
 void run_shards(const ShardPlan& plan, std::size_t threads,
                 const std::function<void(const Shard&)>& fn);
+
+/// The observability sinks a campaign block writes into (null = off).
+struct ShardSinks {
+  obs::Tracer* tracer = nullptr;
+  obs::MetricsRegistry* metrics = nullptr;
+};
+
+/// Runs a campaign's exchange grid [0, total) as blocks and returns their
+/// merge.  `run_block(shard, sinks)` runs the exchanges [shard.begin,
+/// shard.end) against a testbed of its own and returns a `Block`;
+/// `Block::merge(const Block&)` folds one block into another.
+///
+///   * `shards <= 1`: one block, `Shard{0, 0, total, seed}` -- the campaign
+///     seed itself, not a derived stream -- writing into `sinks` directly.
+///     This is the serial path, and its result is that block unmerged.
+///   * `shards > 1`: one block per shard of `ShardPlan(total, shards, seed,
+///     group)` on up to `threads` workers (see run_shards).  A shard gets a
+///     tracer or registry of its own only where `sinks` has one; after every
+///     shard finished, blocks and sinks merge into a default `Block` and
+///     into `sinks`, in shard order.
+template <typename Block, typename RunBlock>
+Block run_sharded(std::uint64_t total, std::size_t shards, int threads,
+                  std::uint64_t seed, std::uint64_t group, ShardSinks sinks,
+                  const RunBlock& run_block) {
+  if (shards <= 1) return run_block(Shard{0, 0, total, seed}, sinks);
+  const ShardPlan plan(total, shards, seed, group);
+  std::vector<Block> blocks(plan.size());
+  std::vector<obs::Tracer> tracers(sinks.tracer ? plan.size() : 0);
+  std::vector<obs::MetricsRegistry> registries(sinks.metrics ? plan.size() : 0);
+  run_shards(plan, static_cast<std::size_t>(std::max(1, threads)),
+             [&](const Shard& shard) {
+               const std::size_t i = shard.index;
+               blocks[i] = run_block(
+                   shard, ShardSinks{sinks.tracer ? &tracers[i] : nullptr,
+                                     sinks.metrics ? &registries[i] : nullptr});
+             });
+  Block merged;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    merged.merge(blocks[i]);
+    if (sinks.tracer) sinks.tracer->merge_from(tracers[i]);
+    if (sinks.metrics) sinks.metrics->merge_from(registries[i]);
+  }
+  return merged;
+}
 
 }  // namespace rangeamp::core

@@ -145,30 +145,28 @@ std::vector<SbrMeasurement> sweep_sbr(Vendor vendor,
                                       const std::vector<std::uint64_t>& file_sizes,
                                       const cdn::ProfileOptions& options,
                                       obs::Tracer* tracer, int threads) {
-  std::vector<SbrMeasurement> out;
-  if (threads <= 1 || file_sizes.size() <= 1) {
-    out.reserve(file_sizes.size());
-    for (const std::uint64_t size : file_sizes) {
-      out.push_back(measure_sbr(vendor, size, options, tracer));
+  // One shard per size when threads > 1, else one block over every size.
+  // Each shard traces into its own sink, merged in size order, so the
+  // sweep's trace reads exactly like the serial one.
+  struct Rows {
+    std::vector<SbrMeasurement> rows;
+    void merge(const Rows& other) {
+      rows.insert(rows.end(), other.rows.begin(), other.rows.end());
     }
-    return out;
-  }
-  // One shard per size; each measurement traces into its own sink, merged
-  // in size order so the sweep's trace reads exactly like the serial one.
-  out.resize(file_sizes.size());
-  std::vector<obs::Tracer> shard_tracers(tracer ? file_sizes.size() : 0);
-  const ShardPlan plan(file_sizes.size(), file_sizes.size());
-  run_shards(plan, static_cast<std::size_t>(threads), [&](const Shard& shard) {
-    out[shard.index] =
-        measure_sbr(vendor, file_sizes[shard.index], options,
-                    tracer ? &shard_tracers[shard.index] : nullptr);
-  });
-  if (tracer) {
-    for (const obs::Tracer& shard_tracer : shard_tracers) {
-      tracer->merge_from(shard_tracer);
-    }
-  }
-  return out;
+  };
+  return run_sharded<Rows>(
+             file_sizes.size(), threads > 1 ? file_sizes.size() : 1, threads,
+             /*seed=*/0, /*group=*/1, {tracer, nullptr},
+             [&](const Shard& shard, ShardSinks sinks) {
+               Rows block;
+               for (std::uint64_t i = shard.begin; i < shard.end; ++i) {
+                 block.rows.push_back(measure_sbr(
+                     vendor, file_sizes[static_cast<std::size_t>(i)], options,
+                     sinks.tracer));
+               }
+               return block;
+             })
+      .rows;
 }
 
 }  // namespace rangeamp::core

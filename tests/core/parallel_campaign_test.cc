@@ -11,8 +11,15 @@
 //     vectors, detector stats, merged metrics counters, and merged traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/rangeamp.h"
 #include "obs/metrics.h"
@@ -77,28 +84,106 @@ TEST(ShardPlanTest, SeedsDependOnlyOnSeedAndIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool / run_shards
+// run_shards / run_sharded
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPoolTest, ExecutesEveryTask) {
-  std::atomic<int> done{0};
-  {
-    core::ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+TEST(RunShardsTest, RethrowsFirstShardError) {
+  // Every shard from 2 on throws a message naming its index; the lowest
+  // index must come back whatever order the workers finished in.
+  const core::ShardPlan plan(8, 8);
+  const auto boom = [](const core::Shard& shard) {
+    if (shard.index >= 2) {
+      throw std::runtime_error("shard " + std::to_string(shard.index));
     }
-    pool.wait_idle();
-    EXPECT_EQ(done.load(), 100);
+  };
+  for (const std::size_t threads : {1u, 4u}) {
+    try {
+      core::run_shards(plan, threads, boom);
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "shard 2") << "threads=" << threads;
+    }
   }
 }
 
-TEST(RunShardsTest, RethrowsFirstShardError) {
-  const core::ShardPlan plan(8, 8);
-  const auto boom = [](const core::Shard& shard) {
-    if (shard.index >= 2) throw std::runtime_error("shard failed");
-  };
-  EXPECT_THROW(core::run_shards(plan, 4, boom), std::runtime_error);
-  EXPECT_THROW(core::run_shards(plan, 1, boom), std::runtime_error);
+TEST(RunShardsTest, RunsEveryShardOnceOnCallerIncludedWorkers) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t shards : {1u, 5u, 64u}) {
+    const core::ShardPlan plan(shards, shards);
+    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+      std::vector<std::atomic<int>> runs(shards);
+      std::mutex mu;
+      std::set<std::thread::id> workers;
+      core::run_shards(plan, threads, [&](const core::Shard& shard) {
+        runs[shard.index].fetch_add(1, std::memory_order_relaxed);
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          workers.insert(std::this_thread::get_id());
+        }
+        // Long enough for every started thread to claim a shard, so a
+        // runner that starts too many threads shows more ids than it may.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      });
+      for (std::size_t i = 0; i < shards; ++i) {
+        EXPECT_EQ(runs[i].load(), 1)
+            << "shard " << i << " of " << shards << ", threads=" << threads;
+      }
+      // The caller counts as one of the workers, so at most
+      // min(threads, shards) - 1 threads are started.
+      const std::size_t cap = std::min(threads, shards);
+      EXPECT_LE(workers.size(), cap)
+          << shards << " shards, threads=" << threads;
+      if (cap == 1) {
+        EXPECT_EQ(workers, std::set<std::thread::id>{caller})
+            << shards << " shards, threads=" << threads;
+      }
+    }
+  }
+}
+
+struct SeenShards {
+  std::vector<core::Shard> shards;
+  void merge(const SeenShards& other) {
+    shards.insert(shards.end(), other.shards.begin(), other.shards.end());
+  }
+};
+
+std::vector<core::Shard> shards_seen(std::size_t shards, int threads) {
+  return core::run_sharded<SeenShards>(
+             /*total=*/30, shards, threads, /*seed=*/2020, /*group=*/1, {},
+             [](const core::Shard& shard, core::ShardSinks) {
+               return SeenShards{{shard}};
+             })
+      .shards;
+}
+
+void expect_same_shard(const core::Shard& a, const core::Shard& b) {
+  EXPECT_EQ(a.index, b.index);
+  EXPECT_EQ(a.begin, b.begin);
+  EXPECT_EQ(a.end, b.end);
+  EXPECT_EQ(a.seed, b.seed);
+}
+
+TEST(RunShardedTest, OneShardTakesTheCampaignSeedItself) {
+  // The serial path is one block over the whole grid under the campaign
+  // seed -- not shard_seed(seed, 0) -- so pre-sharding streams replay.
+  for (const int threads : {1, 4}) {
+    const std::vector<core::Shard> seen = shards_seen(1, threads);
+    ASSERT_EQ(seen.size(), 1u);
+    expect_same_shard(seen[0], core::Shard{0, 0, 30, 2020});
+  }
+}
+
+TEST(RunShardedTest, ManyShardsTakeThePlansShardsInOrder) {
+  const core::ShardPlan plan(30, 3, 2020);
+  for (const int threads : {1, 4}) {
+    const std::vector<core::Shard> seen = shards_seen(3, threads);
+    ASSERT_EQ(seen.size(), plan.size());
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      expect_same_shard(seen[i], plan.shards()[i]);
+    }
+    EXPECT_NE(seen[0].seed, 2020u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -449,6 +534,66 @@ TEST(CachePollutionCampaignTest, ShardedMergesMetricsInShardOrder) {
       r.cache_evictions);
   EXPECT_GT(metrics.counter("cdn_requests_total{vendor=\"Akamai\"}").value(),
             0u);
+}
+
+// ---------------------------------------------------------------------------
+// Gossip-detection campaign
+// ---------------------------------------------------------------------------
+
+core::GossipDetectionConfig small_gossip() {
+  core::GossipDetectionConfig config;
+  config.edge_nodes = 4;
+  config.legit_users = 400;
+  config.catalog_objects = 32;
+  config.object_bytes = 4 * 1024;
+  config.attack_object_bytes = 256 * 1024;
+  config.probe_fraction = 0.05;
+  config.requests = 3000;
+  config.attack_every = 10;
+  config.attacker_rotation_requests = 4;
+  config.detection.enabled = true;
+  config.detection.quarantine_enabled = true;
+  config.detection.gossip.enabled = true;
+  config.detection.gossip.fanout = 2;
+  return config;
+}
+
+TEST(GossipDetectionCampaignTest, ShardedScheduleEqualsSerial) {
+  // The schedule is filled in parallel but replayed serially, so eight
+  // shards on four threads must reproduce the one-shard run exactly.
+  const core::GossipDetectionResult serial =
+      core::run_gossip_detection_campaign(small_gossip());
+  core::GossipDetectionConfig config = small_gossip();
+  config.shards = 8;
+  config.threads = 4;
+  const core::GossipDetectionResult sharded =
+      core::run_gossip_detection_campaign(config);
+
+  EXPECT_EQ(serial.legit_requests, sharded.legit_requests);
+  EXPECT_EQ(serial.attack_requests, sharded.attack_requests);
+  EXPECT_EQ(serial.legit_quarantined, sharded.legit_quarantined);
+  EXPECT_EQ(serial.attack_quarantined, sharded.attack_quarantined);
+  EXPECT_DOUBLE_EQ(serial.collateral_rate, sharded.collateral_rate);
+  EXPECT_DOUBLE_EQ(serial.legit_hit_rate, sharded.legit_hit_rate);
+  EXPECT_EQ(serial.convergence_exchange, sharded.convergence_exchange);
+  EXPECT_DOUBLE_EQ(serial.convergence_rotations, sharded.convergence_rotations);
+  EXPECT_DOUBLE_EQ(serial.detection_latency_seconds,
+                   sharded.detection_latency_seconds);
+  EXPECT_EQ(serial.alarms, sharded.alarms);
+  EXPECT_EQ(serial.final_coverage, sharded.final_coverage);
+  EXPECT_EQ(serial.signatures_expired, sharded.signatures_expired);
+  EXPECT_EQ(serial.gossip.rounds, sharded.gossip.rounds);
+  EXPECT_EQ(serial.gossip.messages_sent, sharded.gossip.messages_sent);
+  EXPECT_EQ(serial.gossip.messages_dropped, sharded.gossip.messages_dropped);
+  EXPECT_EQ(serial.gossip.signatures_sent, sharded.gossip.signatures_sent);
+  EXPECT_EQ(serial.gossip.signatures_accepted,
+            sharded.gossip.signatures_accepted);
+  // The run exercises what the schedule drives: attacks, alarms, and a
+  // cluster-wide quarantine.
+  EXPECT_GT(serial.attack_quarantined, 0u);
+  EXPECT_GT(serial.alarms, 0u);
+  EXPECT_GE(serial.convergence_exchange, 0);
+  EXPECT_GT(serial.legit_hit_rate, 0.0);
 }
 
 }  // namespace
